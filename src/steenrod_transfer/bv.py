@@ -5,12 +5,23 @@ is its exponent tuple.  H_*(BV_n) is the dual divided power algebra with
 basis dual to the monomials, written b_E.  Elements here are sets of
 exponent tuples (coefficients in GF(2)); HElement fixes rank and degree.
 
-The Steenrod action comes from one place only: the coaction on a rank-1
-class x^d, which sends x^{2^j} to sum_i x^{2^{i+j}} (x) xi_i^{2^j} and is
-multiplicative over the binary digits of d.  Extracting the coefficient
-of a Milnor monomial xi^mu turns into a combinatorial rule: assign to
-each xi_t a set of binary digits of the exponent.  The right action on
-homology is the transpose pairing <b.theta, z> = <b, theta z>.
+The right action on homology is the transpose pairing
+<b.theta, z> = <b, theta z>.  For the Milnor primitives P_t^s, dual to
+xi_t^{2^s}, it has a closed form (Milnor's rank-1 formula
+P_t^s x^f = binom(f, 2^s) x^{f + 2^s(2^t-1)} split over the variables by
+the Cartan formula), the forward rule
+
+    b_E . P_t^s = sum over a with sum_v a_v = 2^s of b_{E - a(2^t-1)},
+
+where a term is kept when every a_v is a binary submask of its target
+exponent E_v - a_v(2^t-1) (Lucas).  action_matrix and right_action use
+it for every Pst.  A general Milnor monomial xi^mu goes through
+expand_action instead, which extracts coefficients from the coaction on
+a rank-1 class x^d (x^{2^j} goes to sum_i x^{2^{i+j}} (x) xi_i^{2^j},
+multiplicatively over the binary digits of d) by assigning binary
+digits of the exponents to the xi_t.  That route is independent of the
+forward rule, and passing Pst.dual instead of the Pst selects it: it is
+the oracle for the exhaustive annihilator and the cross-checks.
 
 The general linear group acts by divided power substitution: for g in
 GL(n, 2) the generator a_j goes to sum_i g[i][j] a_i (column convention),
@@ -36,7 +47,7 @@ from typing import (
     Union,
 )
 
-from .gf2 import GF2Matrix, GF2Subspace
+from .gf2 import GF2Matrix, GF2Subspace, common_kernel
 from .milnor import Profile, Pst, Xi, dual_basis, generators, mono_degree
 
 __all__ = [
@@ -47,7 +58,6 @@ __all__ = [
     "expand_action",
     "action_matrix",
     "right_action",
-    "coaction_on_power",
     "annihilated_subspace",
     "kappa_rho",
     "is_Em_annihilated_rank1",
@@ -212,73 +222,97 @@ def expand_action(op: Operation, source: Monomial) -> FrozenSet[Monomial]:
     return frozenset(out)
 
 
+def _pst_row(target: Monomial, s: int, t: int) -> Iterator[Monomial]:
+    """Sources F with b_F . P_t^s containing b_target: F = E + a(2^t - 1)
+    for E = target over the splits sum a_v = 2^s with each a_v a binary
+    submask of E_v.  Distinct splits give distinct sources."""
+    n = len(target)
+    m = (1 << t) - 1
+    acc: List[int] = []
+
+    def walk(v: int, rem: int) -> Iterator[Monomial]:
+        e = target[v]
+        if v == n - 1:
+            if rem & e == rem:
+                yield tuple(acc) + (e + rem * m,)
+            return
+        cand = e & ((1 << rem.bit_length()) - 1)
+        a = cand
+        while True:
+            if a <= rem:
+                acc.append(e + a * m)
+                yield from walk(v + 1, rem - a)
+                acc.pop()
+            if not a:
+                return
+            a = (a - 1) & cand
+
+    return walk(0, 1 << s)
+
+
+def _pst_image(source: Monomial, s: int, t: int) -> Iterator[Monomial]:
+    """Terms of b_source . P_t^s by the forward rule: b_{F - a(2^t - 1)}
+    over the splits sum a_v = 2^s whose parts a_v are binary submasks of
+    the target exponents F_v - a_v(2^t - 1)."""
+    n = len(source)
+    m = (1 << t) - 1
+    acc: List[int] = []
+
+    def walk(v: int, rem: int) -> Iterator[Monomial]:
+        f = source[v]
+        if v == n - 1:
+            e = f - rem * m
+            if e >= 0 and rem & e == rem:
+                yield tuple(acc) + (e,)
+            return
+        for a in range(min(rem, f // m) + 1):
+            e = f - a * m
+            if a & e == a:
+                acc.append(e)
+                yield from walk(v + 1, rem - a)
+                acc.pop()
+
+    return walk(0, 1 << s)
+
+
 @lru_cache(maxsize=None)
 def action_matrix(op: Operation, rank: int, degree: int) -> GF2Matrix:
     """Right action H_degree -> H_{degree-k} in basis coordinates.
 
     Row E (target basis) has bit F set iff x^F occurs in the cohomology
     expansion of op on x^E; mul_vec then maps source to target coords.
+    A Pst is built from the closed-form rule, a general Milnor monomial
+    (or Pst.dual) from expand_action.
     """
-    mu = _as_mono(op)
-    k = mono_degree(mu)
+    pst = isinstance(op, Pst)
+    k = op.degree if pst else mono_degree(op)
     src_idx = _basis_index(rank, degree)
     rows = []
     for target in degree_basis(rank, degree - k):
         bits = 0
-        for f in expand_action(mu, target):
+        for f in _pst_row(target, op.s, op.t) if pst else expand_action(op, target):
             bits |= 1 << src_idx[f]
         rows.append(bits)
     return GF2Matrix(rows, basis_dim(rank, degree))
 
 
 def right_action(x: HElement, op: Operation) -> HElement:
-    """x . op in homology, computed term by term without matrices."""
-    mu = _as_mono(op)
-    k = mono_degree(mu)
-    out = set()
-    for target in degree_basis(x.rank, x.degree - k):
-        if len(expand_action(mu, target) & x.terms) & 1:
-            out.add(target)
-    return HElement(x.rank, x.degree - k, frozenset(out))
+    """x . op in homology, computed term by term without matrices.
 
-
-def coaction_on_power(k: int, cap: int) -> Tuple[Tuple[int, Xi], ...]:
-    """All terms x^f (x) xi^mu of the coaction on the rank-1 class x^k
-    with f <= cap.
-
-    Built digit by digit: the factor for digit 2^j of k is
-    sum_i x^{2^{i+j}} (x) xi_i^{2^j}, and factors multiply.  Distinct
-    digit choices give distinct xi-monomials, so no cancellation occurs
-    and the coefficient of every pair is 1.  Runs forward from k, unlike
-    expand_action which extracts one coefficient going backward.
+    A Pst maps each term forward by the closed-form rule; any other
+    operation scans the target basis through expand_action.
     """
-    if k < 0 or cap < 0:
-        raise ValueError("exponent and cap must be nonnegative")
-    terms: List[Tuple[int, Xi]] = []
-    digits = [j for j in range(k.bit_length()) if k >> j & 1]
-
-    def walk(pos: int, f: int, mono: Dict[int, int]):
-        if f > cap:
-            return
-        if pos == len(digits):
-            terms.append((f, tuple(sorted(mono.items()))))
-            return
-        j = digits[pos]
-        i = 0
-        while (1 << (i + j)) <= cap - f or i == 0:
-            if i == 0:
-                walk(pos + 1, f + (1 << j), mono)
-            else:
-                mono[i] = mono.get(i, 0) + (1 << j)
-                walk(pos + 1, f + (1 << (i + j)), mono)
-                if mono[i] == 1 << j:
-                    del mono[i]
-                else:
-                    mono[i] -= 1 << j
-            i += 1
-
-    walk(0, 0, {})
-    return tuple(sorted(terms))
+    if isinstance(op, Pst):
+        out: set = set()
+        for source in x.terms:
+            out.symmetric_difference_update(_pst_image(source, op.s, op.t))
+        return HElement(x.rank, x.degree - op.degree, frozenset(out))
+    k = mono_degree(op)
+    hits = set()
+    for target in degree_basis(x.rank, x.degree - k):
+        if len(expand_action(op, target) & x.terms) & 1:
+            hits.add(target)
+    return HElement(x.rank, x.degree - k, frozenset(hits))
 
 
 def annihilated_subspace(
@@ -292,8 +326,10 @@ def annihilated_subspace(
 
     Default uses the P_t^s of the profile; exhaustive=True runs every
     Milnor basis element of positive degree instead, which is the
-    definition and serves as a cross-check on small windows.  matrix
-    swaps in another action-matrix source, e.g. a disk cache.
+    definition and serves as a cross-check on small windows.  The
+    kernels of the operations' matrices are intersected one at a time
+    (common_kernel).  matrix swaps in another action-matrix source, e.g.
+    a disk cache.
     """
     ops: List[Operation]
     if exhaustive:
@@ -302,11 +338,7 @@ def annihilated_subspace(
         ops = list(generators(profile, degree))
     dim = basis_dim(rank, degree)
     make = matrix if matrix is not None else action_matrix
-    mats = [make(op, rank, degree) for op in ops]
-    mats = [m for m in mats if m.nrows]
-    if not mats:
-        return GF2Matrix.identity(dim).row_space()
-    return GF2Matrix.vstack(mats).kernel()
+    return common_kernel((make(op, rank, degree) for op in ops), dim)
 
 
 # rank-1 arithmetic ----------------------------------------------------

@@ -118,23 +118,27 @@ def _binom_odd(n: int, r: int) -> bool:
 
 
 def crit_rank1_action_binomial() -> List[CheckResult]:
-    """right_action on b_k agrees with b_k P_t^s = C(k-2^s(2^t-1), 2^s) b_{k-2^s(2^t-1)}."""
-    bad = []
-    for s in range(5):
-        for t in range(1, 6):
-            drop = (1 << s) * ((1 << t) - 1)
-            for k in range(drop, 257):
-                got = right_action(HElement.b(k), Pst(s, t))
-                want = {(k - drop,)} if _binom_odd(k - drop, 1 << s) else set()
-                if got.terms != frozenset(want):
-                    bad.append((k, s, t))
-    return [
-        CheckResult(
-            "coaction-route-equals-binomial",
-            not bad,
-            f"checked s<=4, t<=5, k<=256; mismatches: {bad[:5]}",
+    """right_action on b_k agrees with b_k P_t^s = C(k-2^s(2^t-1), 2^s) b_{k-2^s(2^t-1)},
+    both through the coaction (expand_action, via P_t^s dual) and through
+    the closed-form forward rule (via the Pst itself)."""
+    out = []
+    for name, route in (
+        ("coaction-route-equals-binomial", lambda op: op.dual),
+        ("forward-rule-equals-binomial", lambda op: op),
+    ):
+        bad = []
+        for s in range(5):
+            for t in range(1, 6):
+                drop = (1 << s) * ((1 << t) - 1)
+                for k in range(drop, 257):
+                    got = right_action(HElement.b(k), route(Pst(s, t)))
+                    want = {(k - drop,)} if _binom_odd(k - drop, 1 << s) else set()
+                    if got.terms != frozenset(want):
+                        bad.append((k, s, t))
+        out.append(
+            CheckResult(name, not bad, f"checked s<=4, t<=5, k<=256; mismatches: {bad[:5]}")
         )
-    ]
+    return out
 
 
 # -- rank-1 annihilation predicates --------------------------------------

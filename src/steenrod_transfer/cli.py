@@ -8,7 +8,8 @@ suite, and `table` sweeps a degree range into CSV.
 Action matrices are memoized on disk under the config's cache
 directory (override with the STRAT_CACHE environment variable) in the
 GF2M format; writes go through a temp file and an atomic rename so
-concurrent runs never see partial files.
+concurrent runs never see partial files.  A cache file that cannot be
+read or has the wrong shape counts as a miss and is rewritten.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
 3 budget exceeded.
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
@@ -43,11 +43,10 @@ class RunConfig:
     max_degree: int = 40
     max_degree_low_rank: int = 600  # applies at rank <= 2
     oracle_mode: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         self.cache_dir = Path(self.cache_dir)
-        if self.max_rank <= 0 or self.max_degree <= 0 or self.threads <= 0:
+        if self.max_rank <= 0 or self.max_degree <= 0:
             raise ValueError("budgets must be positive")
 
     def degree_budget(self, rank: int) -> int:
@@ -79,8 +78,15 @@ def _cached_matrix(cfg: RunConfig) -> Callable[[object, int, int], GF2Matrix]:
         if not isinstance(op, Pst):
             return action_matrix(op, rank, degree)
         path = cfg.cache_dir / f"act_s{op.s}_t{op.t}_r{rank}_d{degree}.gf2m"
-        if path.exists():
-            return GF2Matrix.from_bytes(path.read_bytes())
+        try:
+            mat = GF2Matrix.from_bytes(path.read_bytes())
+        except (OSError, ValueError):
+            mat = None
+        if mat is not None and (mat.nrows, mat.ncols) == (
+            basis_dim(rank, degree - op.degree),
+            basis_dim(rank, degree),
+        ):
+            return mat
         mat = action_matrix(op, rank, degree)
         cfg.cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
@@ -252,21 +258,15 @@ def cmd_table(cfg: RunConfig, args) -> int:
     for d in degrees:
         cfg.check_budget(args.rank, d)
 
-    def cell(d: int) -> Tuple[int, int, int]:
+    rows = []
+    for d in degrees:
         sub = annihilated_subspace(
             profile, args.rank, d, matrix=_cached_matrix(cfg)
         )
-        quo = coinvariant_quotient(sub, args.rank, d)
-        return d, sub.dim, quo.dim
-
-    if cfg.threads > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(cell, degrees))
-    else:
-        results = [cell(d) for d in degrees]
+        rows.append(f"{d},{sub.dim},{coinvariant_quotient(sub, args.rank, d).dim}")
     print("degree,annihilated_dim,coinvariant_dim")
-    for d, a, c in sorted(results):
-        print(f"{d},{a},{c}")
+    for row in rows:
+        print(row)
     return 0
 
 
@@ -316,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-range", required=True, help="a..b, inclusive")
     p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_table)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
 
 
@@ -326,8 +323,6 @@ def main(argv: Optional[Sequence[str]] = None, config: Optional[RunConfig] = Non
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = config if config is not None else default_config()
-    if getattr(args, "threads", None):
-        cfg.threads = args.threads
     try:
         return args.func(cfg, args)
     except BudgetError as e:

@@ -16,6 +16,7 @@ from typing import Iterable, List, Optional, Tuple
 __all__ = [
     "GF2Matrix",
     "GF2Subspace",
+    "common_kernel",
     "BudgetError",
     "bit_budget",
     "set_bit_budget",
@@ -132,7 +133,8 @@ class GF2Matrix:
     def row(self, i: int) -> int:
         return self.rows[i]
 
-    def transpose(self) -> "GF2Matrix":
+    def columns(self) -> List[int]:
+        """Column j as a bitset over the rows: the image of basis vector j."""
         cols = [0] * self.ncols
         for i, r in enumerate(self.rows):
             bit = 1 << i
@@ -140,7 +142,10 @@ class GF2Matrix:
                 j = (r & -r).bit_length() - 1
                 cols[j] |= bit
                 r &= r - 1
-        return GF2Matrix(cols, self.nrows)
+        return cols
+
+    def transpose(self) -> "GF2Matrix":
+        return GF2Matrix(self.columns(), self.nrows)
 
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector: bit i of the result is <row i, v>."""
@@ -210,6 +215,49 @@ class GF2Matrix:
             rows.append(int.from_bytes(blob[off : off + wpr * 8], "little"))
             off += wpr * 8
         return cls(rows, ncols)
+
+
+def common_kernel(mats: Iterable[GF2Matrix], ncols: int) -> "GF2Subspace":
+    """{v : M.mul_vec(v) == 0 for every M}, the same subspace as
+    GF2Matrix.vstack(mats).kernel(), one matrix at a time.
+
+    The current kernel basis is pushed through the next matrix through
+    its columns; each image, with its source vector carried above bit
+    nrows, is eliminated against pivots keyed by their lowest set bit.
+    The vectors whose image part cancels span the next kernel.
+    """
+    basis = [1 << j for j in range(ncols)]
+    for mat in mats:
+        if mat.ncols != ncols:
+            raise ValueError("column count mismatch")
+        if not basis:
+            break
+        if not mat.nrows:
+            continue
+        cols = mat.columns()
+        shift = mat.nrows
+        image_mask = (1 << shift) - 1
+        pivots = {}
+        survivors = []
+        for b in basis:
+            img = 0
+            rest = b
+            while rest:
+                low = rest & -rest
+                img ^= cols[low.bit_length() - 1]
+                rest ^= low
+            v = img | (b << shift)
+            while v & image_mask:
+                low = v & -v
+                p = pivots.get(low)
+                if p is None:
+                    pivots[low] = v
+                    break
+                v ^= p
+            else:
+                survivors.append(v >> shift)
+        basis = survivors
+    return GF2Subspace(ncols, basis)
 
 
 class GF2Subspace:

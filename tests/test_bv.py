@@ -24,7 +24,8 @@ from steenrod_transfer.bv import (
     swap_matrix,
     transvection,
 )
-from steenrod_transfer.milnor import Profile, Pst, xi
+from steenrod_transfer.gf2 import GF2Matrix
+from steenrod_transfer.milnor import Profile, Pst, generators, xi
 
 
 def eq22_oracle(k, s, t):
@@ -127,20 +128,23 @@ class TestExpandAction:
 
 
 class TestActionMatrix:
+    # the Pst matrices and right_action use the closed-form forward rule;
+    # the .dual route goes through expand_action and is the reference
+
     @settings(max_examples=30, deadline=None)
     @given(helements(max_rank=3, max_degree=8), st.integers(0, 2), st.integers(1, 2))
     def test_agrees_with_right_action(self, x, s, t):
         op = Pst(s, t)
         m = action_matrix(op, x.rank, x.degree)
         got = m.mul_vec(x.to_coords())
-        assert HElement.from_coords(x.rank, x.degree - op.degree, got) == right_action(x, op)
+        assert HElement.from_coords(x.rank, x.degree - op.degree, got) == right_action(x, op.dual)
 
     @settings(max_examples=20, deadline=None)
     @given(helements(max_rank=2, max_degree=8), st.integers(0, 1), st.integers(1, 2), st.integers(0, 1), st.integers(1, 2))
     def test_composition_order(self, x, s1, t1, s2, t2):
         # right module: (x . P) . Q computed either way
         a, b = Pst(s1, t1), Pst(s2, t2)
-        assert right_action(right_action(x, a), b) == HElement.from_coords(
+        assert right_action(right_action(x, a.dual), b.dual) == HElement.from_coords(
             x.rank,
             x.degree - a.degree - b.degree,
             action_matrix(b, x.rank, x.degree - a.degree).mul_vec(
@@ -149,7 +153,37 @@ class TestActionMatrix:
         )
 
 
+    @pytest.mark.parametrize("rank,top", [(1, 64), (2, 32), (3, 20), (4, 14)])
+    def test_forward_rule_matches_coaction(self, rank, top):
+        for d in range(top + 1):
+            for s in range(4):
+                for t in range(1, 4):
+                    op = Pst(s, t)
+                    if op.degree <= d:
+                        assert action_matrix(op, rank, d) == action_matrix(op.dual, rank, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(helements(max_rank=4, max_degree=14), st.integers(0, 3), st.integers(1, 3))
+    def test_forward_right_action_matches_coaction(self, x, s, t):
+        op = Pst(s, t)
+        assert right_action(x, op) == right_action(x, op.dual)
+
+
 class TestAnnihilated:
+    @pytest.mark.parametrize("name", ["full", "E2", "D"])
+    def test_kernel_matches_stacked_reference(self, name):
+        prof = {"full": Profile.full(), "E2": Profile.E(2), "D": Profile.D()}[name]
+        cells = [(4, 14), (4, 17)] + [(3, d) for d in range(21)]
+        for rank, d in cells:
+            mats = [action_matrix(op, rank, d) for op in generators(prof, d)]
+            mats = [m for m in mats if m.nrows]
+            dim = basis_dim(rank, d)
+            if mats:
+                want = GF2Matrix.vstack(mats).kernel()
+            else:
+                want = GF2Matrix.identity(dim).row_space()
+            assert annihilated_subspace(prof, rank, d) == want
+
     def test_rank1_full(self):
         # only b_{2^j - 1} survives everything
         for d in range(1, 36):
@@ -312,23 +346,17 @@ class TestGL:
 
 class TestCoinvariants:
     def test_natural_module_dies(self):
-        from steenrod_transfer.gf2 import GF2Matrix
-
         space = GF2Matrix.identity(basis_dim(2, 1)).row_space()
         pres = coinvariant_quotient(space, 2, 1)
         assert pres.dim == 0
         assert pres.is_zero_class(HElement.b(1, 0))
 
     def test_rank1_trivial_group(self):
-        from steenrod_transfer.gf2 import GF2Matrix
-
         space = GF2Matrix.identity(basis_dim(1, 5)).row_space()
         pres = coinvariant_quotient(space, 1, 5)
         assert pres.dim == 1
 
     def test_not_stable_raises(self):
-        from steenrod_transfer.gf2 import GF2Matrix
-
         # the line through b(2)(0) is not GL-stable
         space = GF2Matrix([1 << 0], basis_dim(2, 2)).row_space()
         with pytest.raises(ValueError):

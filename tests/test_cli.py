@@ -8,6 +8,7 @@ from steenrod_transfer.cli import (
     parse_algebra,
     parse_degree_range,
 )
+from steenrod_transfer.gf2 import GF2Matrix
 from steenrod_transfer.milnor import Profile
 
 
@@ -164,17 +165,6 @@ class TestTable:
         assert rc == 0
         assert out == "degree,annihilated_dim,coinvariant_dim"
 
-    def test_threads_match_serial(self, tmp_path, capsys):
-        outs = []
-        for threads in ("1", "3"):
-            main(
-                ["table", "--algebra", "E2", "--rank", "2", "--degree-range",
-                 "1..10", "--threads", threads],
-                config=cfg(tmp_path),
-            )
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-
 
 class TestBudgetsAndCache:
     def test_rank_budget(self, tmp_path, capsys):
@@ -228,6 +218,31 @@ class TestBudgetsAndCache:
             assert p.read_bytes() == blobs[p.name]
         assert not list(c.cache_dir.glob("*.tmp"))
 
+    def _rerun_after(self, tmp_path, capsys, damage):
+        """Run a cell, damage its cache files, then run it twice more: both
+        reruns must print the first output and leave well-formed files."""
+        c = cfg(tmp_path)
+        argv = ["annihilated", "--algebra", "E2", "--rank", "2", "--degree", "11"]
+        assert main(argv, config=c) == 0
+        first = capsys.readouterr().out
+        blobs = {p: p.read_bytes() for p in c.cache_dir.glob("*.gf2m")}
+        for p in blobs:
+            damage(p)
+        for _ in range(2):
+            assert main(argv, config=c) == 0
+            assert capsys.readouterr().out == first
+        for p, blob in blobs.items():
+            assert p.read_bytes() == blob
+        assert not list(c.cache_dir.glob("*.tmp"))
+
+    def test_truncated_cache_file_is_rebuilt(self, tmp_path, capsys):
+        self._rerun_after(tmp_path, capsys, lambda p: p.write_bytes(p.read_bytes()[:-3]))
+
+    def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, capsys):
+        # a well-formed GF2M file of another cell's shape
+        wrong = GF2Matrix.identity(3).to_bytes()
+        self._rerun_after(tmp_path, capsys, lambda p: p.write_bytes(wrong))
+
     def test_env_cache_dir(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "envcache"
         monkeypatch.setenv("STRAT_CACHE", str(target))
@@ -239,5 +254,3 @@ class TestBudgetsAndCache:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             RunConfig(cache_dir=tmp_path, max_rank=0)
-        with pytest.raises(ValueError):
-            RunConfig(cache_dir=tmp_path, threads=-1)

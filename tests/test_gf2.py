@@ -9,6 +9,7 @@ from steenrod_transfer.gf2 import (
     GF2Matrix,
     GF2Subspace,
     bit_budget,
+    common_kernel,
     set_bit_budget,
 )
 
@@ -104,6 +105,29 @@ class TestKernel:
         expected = {v for v in range(2**6) if m.mul_vec(v) == 0}
         assert {v for v in range(2**6) if ker.contains(v)} == expected
         assert ker.dim == 6 - m.rank()
+
+
+class TestCommonKernel:
+    @given(st.lists(st.lists(st.integers(0, 2**7 - 1), max_size=5), max_size=4))
+    def test_matches_stacked_kernel(self, blocks):
+        mats = [GF2Matrix(rows, 7) for rows in blocks]
+        got = common_kernel(mats, 7)
+        stacked = [m for m in mats if m.nrows]
+        if stacked:
+            assert got == GF2Matrix.vstack(stacked).kernel()
+        else:
+            assert got == GF2Matrix.identity(7).row_space()
+
+    def test_seeded_large(self):
+        rng = random.Random(5)
+        mats = [random_matrix(rng, n, 120) for n in (30, 0, 45, 20)]
+        stacked = GF2Matrix.vstack([m for m in mats if m.nrows])
+        assert common_kernel(mats, 120) == stacked.kernel()
+        assert common_kernel(mats, 120).dim == 120 - stacked.rank()
+
+    def test_column_mismatch(self):
+        with pytest.raises(ValueError):
+            common_kernel([GF2Matrix([1], 3), GF2Matrix([1], 4)], 3)
 
 
 class TestSolve:

@@ -114,6 +114,7 @@ class TestCoproduct:
                 right ^= {(a, x, y)}
         assert left == right
 
+    @settings(deadline=None)
     @given(monomials(), monomials())
     def test_multiplicative(self, a, b):
         prod = set()
