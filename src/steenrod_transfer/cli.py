@@ -140,6 +140,30 @@ def parse_degree_range(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
+def _bounded_int(least: int) -> Callable[[str], int]:
+    """An argparse type accepting integers >= least."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+
+    return parse
+
+
+def _degree_range_arg(text: str) -> range:
+    try:
+        degrees = parse_degree_range(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    if not degrees:
+        raise argparse.ArgumentTypeError(f"empty degree range {text!r}: need a <= b")
+    return degrees
+
+
 def _word_json(word: Tuple) -> dict:
     return {"slots": [[list(pair) for pair in letter] for letter in word]}
 
@@ -254,7 +278,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_table(cfg: RunConfig, args) -> int:
     profile = parse_algebra(args.algebra)
-    degrees = parse_degree_range(args.degree_range)
+    degrees = args.degree_range
     for d in degrees:
         cfg.check_budget(args.rank, d)
 
@@ -287,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="A, E<m>, D<m>, D, or profile=v1,v2,... (last value repeats)",
         )
-        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--rank", type=_bounded_int(1), required=True)
         if degree:
-            p.add_argument("--degree", type=int, required=True)
+            p.add_argument("--degree", type=_bounded_int(0), required=True)
 
     p = sub.add_parser("annihilated", help="basis of the annihilated subspace")
     common(p)
@@ -313,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="annihilated and coinvariant dims over a degree range")
     common(p, degree=False)
-    p.add_argument("--degree-range", required=True, help="a..b, inclusive")
+    p.add_argument(
+        "--degree-range", type=_degree_range_arg, required=True, help="a..b, inclusive, a <= b"
+    )
     p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_table)
     return parser

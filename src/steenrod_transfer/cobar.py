@@ -11,6 +11,14 @@ over all coproduct choices, projecting into the quotient throughout and
 discarding any term in which some slot (including the new first one) is
 the unit.  Words made of primitive letters are automatically cocycles.
 
+The differential is computed on sums of slot products (p_1 | ... | p_n),
+where each slot holds a monomial or a whole polynomial; a word is the
+case of monomial slots.  Each slot's coproduct is formed and cancelled
+mod 2 once, the left products of all choices are grouped by their
+right-hand tuple and cancelled mod 2, and since chi is linear it is then
+applied, with the profile projection, once per surviving left rather
+than once per choice.
+
 For the profiles E(m) the cohomology is polynomial on classes h_{t,s}
 with s < m <= t, where h_{t,s} is the class of the one-letter extension
 of [xi_t^{2^s}]; class_of expresses a cocycle in that basis by solving
@@ -21,11 +29,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from .gf2 import GF2Matrix, GF2Subspace
 from .milnor import (
     ONE,
+    DualPoly,
     Profile,
     Xi,
     antipode,
@@ -60,6 +69,10 @@ __all__ = [
 Word = Tuple[Xi, ...]
 WordSum = FrozenSet[Word]
 
+# a slot holds a monomial or a polynomial; a word is a product of monomials
+Slot = Union[Xi, DualPoly]
+SlotProduct = Tuple[Slot, ...]
+
 # a product of h_{t,s} classes, as (t, s) pairs sorted descending
 HMono = Tuple[Tuple[int, int], ...]
 
@@ -78,36 +91,80 @@ def wordsum_degree(ws: WordSum) -> Optional[Tuple[int, int]]:
     return shapes.pop()
 
 
-def _differential_word(w: Word, profile: Profile) -> WordSum:
-    if not w:
-        return frozenset()
-    expanded = [tuple(coproduct(a, profile)) for a in w]
+def _reduced_coproduct(slot: Slot, profile: Profile) -> Dict[Xi, Set[Xi]]:
+    """Delta(slot) mod 2 as right side -> lefts, dropping the (a, 1) terms."""
+    by_right: Dict[Xi, Set[Xi]] = {}
+    for m in (slot,) if isinstance(slot, tuple) else slot:
+        for a, b in coproduct(m, profile):
+            if b != ONE:
+                by_right.setdefault(b, set()).symmetric_difference_update((a,))
+    return {b: lefts for b, lefts in by_right.items() if lefts}
+
+
+def _collect(
+    slots: List[Dict[Xi, Set[Xi]]],
+    rights: Word,
+    left: Iterable[Xi],
+    index: Dict[Xi, int],
+    groups: Dict[Word, int],
+) -> None:
+    """Walk the coproduct choices of the slots after the first len(rights),
+    multiplying their lefts into left mod 2, and XOR the finished left
+    sums into groups[rights] as bitmasks over index."""
+    v = len(rights)
+    if v == len(slots):
+        mask = groups.pop(rights, 0)
+        for m in left:
+            mask ^= 1 << index.setdefault(m, len(index))
+        if mask:
+            groups[rights] = mask
+        return
+    for b, lefts in slots[v].items():
+        prod: Set[Xi] = set()
+        for a in left:
+            for c in lefts:
+                prod.symmetric_difference_update((mono_mul(a, c),))
+        if prod:
+            _collect(slots, rights + (b,), prod, index, groups)
+
+
+def _differential(products: Iterable[SlotProduct], profile: Profile) -> WordSum:
+    """d of a sum of slot products, collecting before the antipode.
+
+    The left products of all choices are summed mod 2 per right-hand
+    tuple, each group a bitmask over an index of left monomials, and a
+    group that cancels is deleted at once; chi and the profile
+    projection then run once per surviving left.
+    """
+    index: Dict[Xi, int] = {}
+    groups: Dict[Word, int] = {}
+    for product in products:
+        slots = [_reduced_coproduct(p, profile) for p in product]
+        if slots and all(slots):
+            _collect(slots, (), (ONE,), index, groups)
+
+    lefts = list(index)
+    heads_of: Dict[int, FrozenSet[Xi]] = {}
     out: set = set()
-    for choice in itertools.product(*expanded):
-        rights = tuple(b for _, b in choice)
-        if any(b == ONE for b in rights):
-            continue
-        prod = ONE
-        for a, _ in choice:
-            prod = mono_mul(prod, a)
-        if prod == ONE:
-            continue
-        for head in antipode(prod):
-            if profile.mono_survives(head):
-                out.symmetric_difference_update({(head,) + rights})
+    for rights, mask in groups.items():
+        heads: Set[Xi] = set()
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if i not in heads_of:
+                left = lefts[i]
+                heads_of[i] = frozenset() if left == ONE else profile.project(antipode(left))
+            heads ^= heads_of[i]
+        out.update((h,) + rights for h in heads)
     return frozenset(out)
 
 
-def differential(ws: Union[Word, WordSum], profile: Profile) -> WordSum:
-    if isinstance(ws, tuple):
-        ws = frozenset({ws})
-    acc: set = set()
-    for w in ws:
-        acc ^= _differential_word(w, profile)
-    return frozenset(acc)
+def differential(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> WordSum:
+    """d of a word, a word sum, or a sum of slot products."""
+    return _differential((ws,) if isinstance(ws, tuple) else ws, profile)
 
 
-def is_cocycle(ws: Union[Word, WordSum], profile: Profile) -> bool:
+def is_cocycle(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> bool:
     return not differential(ws, profile)
 
 
@@ -144,7 +201,7 @@ def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix
     tgt_idx = {w: i for i, w in enumerate(tgt)}
     rows = [0] * len(tgt)
     for j, w in enumerate(src):
-        for image in _differential_word(w, profile):
+        for image in _differential((w,), profile):
             rows[tgt_idx[image]] ^= 1 << j
     return GF2Matrix(rows, len(src))
 
@@ -246,12 +303,8 @@ def _class_solver(
     basis = cell_basis(profile, length, degree)
     idx = {w: i for i, w in enumerate(basis)}
     hms = h_monomials(profile, length, degree)
-    columns: List[int] = [1 << idx[word_of(hm)] for hm in hms]
-    for u in cell_basis(profile, length - 1, degree):
-        v = 0
-        for w in _differential_word(u, profile):
-            v |= 1 << idx[w]
-        columns.append(v)
+    columns = [1 << idx[word_of(hm)] for hm in hms]
+    columns += differential_matrix(profile, length - 1, degree).columns()
     rows = [0] * len(basis)
     for j, col in enumerate(columns):
         while col:

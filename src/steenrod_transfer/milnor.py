@@ -282,8 +282,10 @@ class Profile:
         return not self.heads and self.tail == "const" and self.tail_value is None
 
     def is_elementary(self) -> bool:
-        """True exactly for the E(m), whose duals are exterior on primitives."""
-        return any(self == Profile.E(m) for m in range(1, 16))
+        """True exactly for the E(m), whose duals are exterior on primitives:
+        h = (0, ..., 0, m, m, ...) with m - 1 zeros, for any m >= 1."""
+        m = self.tail_value
+        return self.tail == "const" and m is not None and m >= 1 and self.heads == (0,) * (m - 1)
 
     def meet(self, other: "Profile") -> "Profile":
         """Pointwise minimum."""

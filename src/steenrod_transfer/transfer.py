@@ -10,6 +10,12 @@ give distinct monomials.  The rank-n map is the slotwise product: a term
 b_{e_1} ... b_{e_n} contributes the words built from one monomial of
 f_star(e_v) per slot.  On elements killed by the profile's algebra the
 image is a cocycle and its class is the value of the transfer.
+
+The image keeps its slot factors (f_star(e_1) | ... | f_star(e_n)), one
+per surviving term, next to the words.  The cocycle check differentiates
+the factors, so each slot's coproduct is formed and cancelled once per
+term rather than once per word; the words are kept for printing and
+counting.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .bv import HElement
 from .cobar import WordSum, class_of, is_cocycle
@@ -68,6 +74,8 @@ class TransferImage:
     rank: int
     degree: int  # cobar degree: homology degree + rank
     words: WordSum
+    # (f_star(e_1), ..., f_star(e_n)) per term; the words are their expansion
+    factors: FrozenSet[Tuple[DualPoly, ...]]
 
     def is_zero(self) -> bool:
         return not self.words
@@ -75,18 +83,21 @@ class TransferImage:
 
 def transfer_chain(x: HElement, profile: Profile = Profile.full()) -> TransferImage:
     words: set = set()
+    factors: set = set()
     for term in x.terms:
-        polys = [f_star(e, profile) for e in term]
+        polys = tuple(f_star(e, profile) for e in term)
         if any(not p for p in polys):
             continue
+        factors ^= {polys}
         for combo in itertools.product(*polys):
             words ^= {combo}
-    return TransferImage(x.rank, x.degree + x.rank, frozenset(words))
+    return TransferImage(x.rank, x.degree + x.rank, frozenset(words), frozenset(factors))
 
 
 def verify_cocycle(img: TransferImage, profile: Profile) -> bool:
-    """Whether a transfer image is closed under the cobar differential."""
-    return is_cocycle(img.words, profile)
+    """Whether a transfer image is closed under the cobar differential,
+    computed from its slot factors."""
+    return is_cocycle(img.factors, profile)
 
 
 def transfer_class(

@@ -156,14 +156,27 @@ class TestTable:
         nonzero = [int(l.split(",")[0]) for l in lines[1:] if l.split(",")[1] != "0"]
         assert nonzero == [1, 3, 5, 7, 11]
 
-    def test_empty_range_header_only(self, tmp_path, capsys):
-        rc = main(
-            ["table", "--algebra", "A", "--rank", "1", "--degree-range", "9..3"],
-            config=cfg(tmp_path),
-        )
-        out = capsys.readouterr().out.strip()
-        assert rc == 0
-        assert out == "degree,annihilated_dim,coinvariant_dim"
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["annihilated", "--algebra", "A", "--rank", "0", "--degree", "3"], "--rank"),
+            (["transfer", "--algebra", "E2", "--rank", "0", "--degree", "11"], "--rank"),
+            (["annihilated", "--algebra", "A", "--rank", "4", "--degree", "-1"], "--degree"),
+            (["table", "--algebra", "A", "--rank", "1", "--degree-range", "9..3"], "--degree-range"),
+            (["table", "--algebra", "A", "--rank", "1", "--degree-range", "3-9"], "--degree-range"),
+        ],
+        ids=["rank-zero", "transfer-rank-zero", "negative-degree", "reversed-range", "malformed-range"],
+    )
+    def test_rejected_while_parsing(self, tmp_path, capsys, argv, flag):
+        # exit 2 with a message naming the flag, before any computation
+        with pytest.raises(SystemExit) as exc:
+            main(argv, config=cfg(tmp_path))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in captured.err
+        assert captured.out == ""
 
 
 class TestBudgetsAndCache:

@@ -21,7 +21,9 @@ from steenrod_transfer.cobar import (
     word_str,
     wordsum_degree,
 )
-from steenrod_transfer.milnor import Profile, dual_basis, mono_mul, xi
+from steenrod_transfer.bv import HElement, degree_basis
+from steenrod_transfer.milnor import ONE, Profile, antipode, coproduct, dual_basis, mono_mul, xi
+from steenrod_transfer.transfer import f_star, transfer_chain, verify_cocycle
 
 PROFILES = {
     "full": Profile.full(),
@@ -29,6 +31,40 @@ PROFILES = {
     "E2": Profile.E(2),
     "D": Profile.D(),
 }
+
+# the profiles the grouped differential is checked on against the reference
+REFERENCE_PROFILES = {
+    "full": Profile.full(),
+    "E1": Profile.E(1),
+    "E2": Profile.E(2),
+    "E3": Profile.E(3),
+    "D2": Profile.D(2),
+    "D": Profile.D(),
+}
+
+
+def reference_differential(ws, profile):
+    """d word by word: every coproduct choice is multiplied out and sent
+    through the antipode on its own, with no grouping or cancellation
+    before chi."""
+    out = set()
+    for w in ws:
+        if not w:
+            continue
+        expanded = [tuple(coproduct(a, profile)) for a in w]
+        for choice in itertools.product(*expanded):
+            rights = tuple(b for _, b in choice)
+            if any(b == ONE for b in rights):
+                continue
+            prod = ONE
+            for a, _ in choice:
+                prod = mono_mul(prod, a)
+            if prod == ONE:
+                continue
+            for head in antipode(prod):
+                if profile.mono_survives(head):
+                    out.symmetric_difference_update({(head,) + rights})
+    return frozenset(out)
 
 
 def poly_ext_dim(m, n, t):
@@ -101,6 +137,65 @@ class TestDifferential:
         img = differential(w, prof)
         if img:
             assert wordsum_degree(img) == (n + 1, t)
+
+
+class TestGroupedDifferential:
+    """The grouped routine against the word-by-word reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(REFERENCE_PROFILES)),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.data(),
+    )
+    def test_word_sums_match_reference(self, name, n, t, data):
+        prof = REFERENCE_PROFILES[name]
+        basis = cell_basis(prof, n, t)
+        if not basis:
+            return
+        ws = frozenset(data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=5)))
+        assert differential(ws, prof) == reference_differential(ws, prof)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(REFERENCE_PROFILES)),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_factored_check_matches_words(self, name, rank, data):
+        # random sums of terms with a nonzero image: most are not
+        # annihilated, so most images are not cocycles
+        prof = REFERENCE_PROFILES[name]
+        degree = data.draw(st.integers(0, (30, 16, 12, 10)[rank - 1]))
+        live = [e for e in degree_basis(rank, degree) if all(f_star(k, prof) for k in e)]
+        if not live:
+            return
+        terms = data.draw(st.sets(st.sampled_from(live), min_size=1, max_size=4))
+        img = transfer_chain(HElement(rank, degree, frozenset(terms)), prof)
+        d = differential(img.factors, prof)
+        assert d == differential(img.words, prof) == reference_differential(img.words, prof)
+        assert verify_cocycle(img, prof) == (not d)
+
+    def test_non_cocycle_image(self):
+        # b(1,2,3,8) is not annihilated; its 8-word image is no cocycle
+        img = transfer_chain(HElement.b(1, 2, 3, 8), Profile.full())
+        assert len(img.words) == 8
+        d = differential(img.factors, Profile.full())
+        assert len(d) == 67
+        assert d == differential(img.words, Profile.full())
+        assert d == reference_differential(img.words, Profile.full())
+        assert not verify_cocycle(img, Profile.full())
+
+    def test_matrix_columns_match_reference(self):
+        for prof in REFERENCE_PROFILES.values():
+            for n in (1, 2):
+                src = cell_basis(prof, n, 9)
+                tgt = cell_basis(prof, n + 1, 9)
+                cols = differential_matrix(prof, n, 9).columns()
+                for w, col in zip(src, cols):
+                    want = reference_differential({w}, prof)
+                    assert col == sum(1 << tgt.index(u) for u in want)
 
 
 class TestCells:

@@ -260,6 +260,23 @@ class TestProfile:
         assert "inf" in str(Profile.full())
         assert str(Profile.E(2)).startswith("(0, 2, 2")
 
+    def test_is_elementary_for_every_em(self):
+        for m in range(1, 41):
+            assert Profile.E(m).is_elementary()
+            assert Profile((0,) * (m - 1), "const", m).is_elementary()
+
+    def test_is_elementary_false_elsewhere(self):
+        for prof in (
+            Profile.full(),
+            Profile.D(),
+            Profile.D(3),
+            Profile((0, 1), "const", 1),
+            Profile((0,), "const", 1),  # h = (0, 1, 1, ...) is not E(1)
+            Profile((0, 0), "const", 2),
+            Profile((), "const", 0),
+        ):
+            assert not prof.is_elementary()
+
 
 class TestGenerators:
     def test_full_through_7(self):
