@@ -590,9 +590,9 @@ def crit_cobar_consistency() -> List[CheckResult]:
                 d1 = differential_matrix(profile, length, deg)
                 d2 = differential_matrix(profile, length + 1, deg)
                 for i in range(d2.nrows):
-                    r, acc = d2.row(i), 0
+                    r, acc = d2.rows[i], 0
                     while r:
-                        acc ^= d1.row((r & -r).bit_length() - 1)
+                        acc ^= d1.rows[(r & -r).bit_length() - 1]
                         r &= r - 1
                     if acc:
                         bad.append((length, deg, i))

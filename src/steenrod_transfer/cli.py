@@ -11,8 +11,9 @@ GF2M format; writes go through a temp file and an atomic rename so
 concurrent runs never see partial files.  A cache file that cannot be
 read or has the wrong shape counts as a miss and is rewritten.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-3 budget exceeded.
+Exit codes: 0 success, 1 a verification check failed, 2 usage error
+(raised while parsing), 3 budget exceeded, 4 internal error (a
+ValueError inside a command: a fault of the program, not its input).
 """
 
 from __future__ import annotations
@@ -154,6 +155,15 @@ def _bounded_int(least: int) -> Callable[[str], int]:
     return parse
 
 
+def _algebra_arg(text: str) -> str:
+    """An argparse type checking text with parse_algebra, and keeping it."""
+    try:
+        parse_algebra(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return text
+
+
 def _degree_range_arg(text: str) -> range:
     try:
         degrees = parse_degree_range(text)
@@ -261,12 +271,6 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    if args.suite not in SUITES:
-        print(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return 2
     if args.format == "json":
         report = suite_report(args.suite)
         print(json.dumps(report, indent=1))
@@ -308,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, degree=True):
         p.add_argument(
             "--algebra",
+            type=_algebra_arg,
             required=True,
             help="A, E<m>, D<m>, D, or profile=v1,v2,... (last value repeats)",
         )
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", help=", ".join(sorted(SUITES)))
+    p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -355,8 +360,8 @@ def main(argv: Optional[Sequence[str]] = None, config: Optional[RunConfig] = Non
         print(f"budget error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

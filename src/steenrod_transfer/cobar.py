@@ -21,8 +21,12 @@ than once per choice.
 
 For the profiles E(m) the cohomology is polynomial on classes h_{t,s}
 with s < m <= t, where h_{t,s} is the class of the one-letter extension
-of [xi_t^{2^s}]; class_of expresses a cocycle in that basis by solving
-a linear system over the cell's candidate words and coboundaries.
+of [xi_t^{2^s}]; class_of expresses a cocycle in that basis by reducing
+it modulo the span of the cell's h-monomial words and coboundaries.  Off
+E(m) the h-monomials may be related in cohomology, and class_of returns
+the normal form of the coefficients modulo those relations (zero at the
+pivots of their RREF basis), which depends only on the class; on E(m)
+there are no relations and it is the unique expansion.
 """
 
 from __future__ import annotations
@@ -206,17 +210,6 @@ def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix
     return GF2Matrix(rows, len(src))
 
 
-def cohomology_dim(profile: Profile, length: int, degree: int) -> int:
-    if length == 0:
-        return 1 if degree == 0 else 0
-    out_rank = differential_matrix(profile, length, degree).rank()
-    cycles = len(cell_basis(profile, length, degree)) - out_rank
-    boundaries = (
-        differential_matrix(profile, length - 1, degree).rank() if length > 1 else 0
-    )
-    return cycles - boundaries
-
-
 def cohomology(
     profile: Profile, length: int, degree: int
 ) -> Tuple[int, Tuple[WordSum, ...]]:
@@ -230,18 +223,19 @@ def cohomology(
         return (1, (frozenset({()}),)) if degree == 0 else (0, ())
     basis = cell_basis(profile, length, degree)
     cycles = differential_matrix(profile, length, degree).kernel()
-    if length > 1:
-        boundaries = (
-            differential_matrix(profile, length - 1, degree).transpose().row_space()
-        )
-    else:
-        boundaries = GF2Subspace(len(basis), [])
+    boundaries = GF2Subspace(
+        len(basis), differential_matrix(profile, length - 1, degree).columns()
+    )
     reps = GF2Subspace(len(basis), [boundaries.reduce(z) for z in cycles.basis])
     words = tuple(
         frozenset(basis[i] for i in range(len(basis)) if v >> i & 1)
         for v in reps.basis
     )
     return reps.dim, words
+
+
+def cohomology_dim(profile: Profile, length: int, degree: int) -> int:
+    return cohomology(profile, length, degree)[0]
 
 
 @lru_cache(maxsize=None)
@@ -297,21 +291,18 @@ def word_of(hm: HMono) -> Word:
 @lru_cache(maxsize=None)
 def _class_solver(
     profile: Profile, length: int, degree: int
-) -> Tuple[Tuple[Word, ...], Tuple[HMono, ...], GF2Matrix]:
-    """The [h-monomial words | coboundaries] system for one cell, cached
-    so that expressing many cocycles in the same bidegree stays cheap."""
+) -> Tuple[Dict[Word, int], Tuple[HMono, ...], GF2Subspace]:
+    """The span of [h-monomial words | coboundaries] for one cell, each
+    h-word carrying the bit of its monomial above the cell's bits, cached
+    so that expressing many cocycles in the same bidegree stays cheap.
+    Its RREF rows with no cell bits span the relations among the
+    h-monomials in cohomology."""
     basis = cell_basis(profile, length, degree)
     idx = {w: i for i, w in enumerate(basis)}
     hms = h_monomials(profile, length, degree)
-    columns = [1 << idx[word_of(hm)] for hm in hms]
-    columns += differential_matrix(profile, length - 1, degree).columns()
-    rows = [0] * len(basis)
-    for j, col in enumerate(columns):
-        while col:
-            i = (col & -col).bit_length() - 1
-            rows[i] |= 1 << j
-            col &= col - 1
-    return basis, hms, GF2Matrix(rows, len(columns))
+    vectors = [(1 << idx[word_of(hm)]) | (1 << (len(basis) + j)) for j, hm in enumerate(hms)]
+    vectors += differential_matrix(profile, length - 1, degree).columns()
+    return idx, hms, GF2Subspace(len(basis) + len(hms), vectors)
 
 
 def class_of(
@@ -319,9 +310,12 @@ def class_of(
 ) -> Optional[FrozenSet[HMono]]:
     """Express a cocycle as a sum of h-monomial classes.
 
-    Solves z = sum c_M w(M) + d(u) in its cell.  Returns None when z is
-    not in the span, which means the h-monomials do not exhaust the
-    cohomology there.  Raises if z is not a cocycle.
+    Reduces z modulo the span of the h-words and coboundaries; if no
+    cell bit is left, z = sum c_M w(M) + d(u) with the c_M left in the
+    h-bits, already in normal form modulo the relations among the
+    h-monomials.  Returns None when z is not in the span, which means
+    the h-monomials do not exhaust the cohomology there.  Raises if z is
+    not a cocycle.
     """
     if isinstance(ws, tuple):
         ws = frozenset({ws})
@@ -330,15 +324,14 @@ def class_of(
     length, degree = wordsum_degree(ws)
     if differential(ws, profile):
         raise ValueError("not a cocycle")
-    basis, hms, system = _class_solver(profile, length, degree)
-    idx = {w: i for i, w in enumerate(basis)}
+    idx, hms, span = _class_solver(profile, length, degree)
     target = 0
     for w in ws:
         target |= 1 << idx[w]
-    sol = system.solve(target)
-    if sol is None:
+    rest = span.reduce(target)
+    if rest & ((1 << len(idx)) - 1):
         return None
-    return frozenset(hm for j, hm in enumerate(hms) if sol >> j & 1)
+    return frozenset(hm for j, hm in enumerate(hms) if rest >> (len(idx) + j) & 1)
 
 
 def hmono_str(hm: HMono) -> str:

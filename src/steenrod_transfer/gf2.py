@@ -4,6 +4,11 @@ A matrix is a tuple of ints; bit j of a row is the entry in column j.
 Everything is immutable; operations return new objects.  Subspaces are
 kept in reduced row echelon form so equal subspaces compare equal.
 
+A row's pivot is its lowest set bit, and _eliminate is the one
+elimination routine: _rref (behind rank, row_space, solve and
+GF2Subspace) and common_kernel (behind kernel) both reduce vectors with
+it against a dict of pivot rows keyed by that bit.
+
 Serialized form ("GF2M"): 4-byte magic, row count and column count as
 64-bit little-endian words, then the rows in row-major order, each row
 padded to ceil(cols/64) little-endian 64-bit words.
@@ -11,7 +16,7 @@ padded to ceil(cols/64) little-endian 64-bit words.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "GF2Matrix",
@@ -54,29 +59,40 @@ def _check_budget(nrows: int, ncols: int) -> None:
         )
 
 
-def _rref(rows: Iterable[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    work = [r for r in rows if r]
-    out: List[int] = []
-    pivots: List[int] = []
-    for col in range(ncols):
-        bit = 1 << col
-        hit = -1
-        for i, r in enumerate(work):
-            if r & bit:
-                hit = i
-                break
-        if hit < 0:
-            continue
-        piv = work.pop(hit)
-        work = [r ^ piv if r & bit else r for r in work]
-        work = [r for r in work if r]
-        out = [r ^ piv if r & bit else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-        if not work:
-            break
-    return out, pivots
+def _eliminate(pivots: Dict[int, int], v: int, mask: int = -1) -> int:
+    """Reduce v against pivots, keyed by their lowest set bit, while v & mask
+    is nonzero.  If the lowest bit of v is free, v is stored there as a new
+    pivot and 0 is returned; otherwise the reduced v is returned."""
+    while v & mask:
+        low = v & -v
+        p = pivots.get(low)
+        if p is None:
+            pivots[low] = v
+            return 0
+        v ^= p
+    return v
+
+
+def _rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns),
+    both ordered by pivot column."""
+    pivots: Dict[int, int] = {}
+    for r in rows:
+        _eliminate(pivots, r)
+    # the keys are distinct powers of two, so their sum is their union
+    pivot_bits = sum(pivots)
+    # a row holds only bits above its pivot, so reducing from the highest
+    # pivot down leaves each row free of every other pivot bit
+    order = sorted(pivots)
+    for low in reversed(order):
+        v = pivots[low]
+        hits = (v & pivot_bits) ^ low
+        while hits:
+            bit = hits & -hits
+            v ^= pivots[bit]
+            hits ^= bit
+        pivots[low] = v
+    return [pivots[low] for low in order], [low.bit_length() - 1 for low in order]
 
 
 class GF2Matrix:
@@ -130,9 +146,6 @@ class GF2Matrix:
             rows.extend(m.rows)
         return cls(rows, ncols)
 
-    def row(self, i: int) -> int:
-        return self.rows[i]
-
     def columns(self) -> List[int]:
         """Column j as a bitset over the rows: the image of basis vector j."""
         cols = [0] * self.ncols
@@ -156,27 +169,14 @@ class GF2Matrix:
         return out
 
     def rank(self) -> int:
-        return len(_rref(self.rows, self.ncols)[0])
+        return len(_rref(self.rows)[0])
 
     def row_space(self) -> "GF2Subspace":
-        rows, pivots = _rref(self.rows, self.ncols)
-        return GF2Subspace._trusted(self.ncols, tuple(rows), tuple(pivots))
+        return GF2Subspace(self.ncols, self.rows)
 
     def kernel(self) -> "GF2Subspace":
         """Null space {v : M.mul_vec(v) == 0} as a subspace of F2^ncols."""
-        rows, pivots = _rref(self.rows, self.ncols)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = 1 << free
-            for r, p in zip(rows, pivots):
-                if r & (1 << free):
-                    v |= 1 << p
-            basis.append(v)
-        sub = GF2Matrix(basis, self.ncols).row_space()
-        return sub
+        return common_kernel([self], self.ncols)
 
     def solve(self, target: int) -> Optional[int]:
         """Solve M x = target for x, or None.  target indexes rows."""
@@ -184,7 +184,7 @@ class GF2Matrix:
             raise ValueError("target outside row range")
         # eliminate on [M | target] with target carried as an extra column
         aug = [r | ((target >> i & 1) << self.ncols) for i, r in enumerate(self.rows)]
-        rows, pivots = _rref(aug, self.ncols + 1)
+        rows, pivots = _rref(aug)
         x = 0
         for r, p in zip(rows, pivots):
             if p == self.ncols:
@@ -223,8 +223,9 @@ def common_kernel(mats: Iterable[GF2Matrix], ncols: int) -> "GF2Subspace":
 
     The current kernel basis is pushed through the next matrix through
     its columns; each image, with its source vector carried above bit
-    nrows, is eliminated against pivots keyed by their lowest set bit.
-    The vectors whose image part cancels span the next kernel.
+    nrows, is eliminated until its image bits are zero or it becomes a
+    pivot.  The source parts of the vectors whose image cancels span the
+    next kernel.
     """
     basis = [1 << j for j in range(ncols)]
     for mat in mats:
@@ -232,12 +233,10 @@ def common_kernel(mats: Iterable[GF2Matrix], ncols: int) -> "GF2Subspace":
             raise ValueError("column count mismatch")
         if not basis:
             break
-        if not mat.nrows:
-            continue
         cols = mat.columns()
         shift = mat.nrows
         image_mask = (1 << shift) - 1
-        pivots = {}
+        pivots: Dict[int, int] = {}
         survivors = []
         for b in basis:
             img = 0
@@ -246,15 +245,8 @@ def common_kernel(mats: Iterable[GF2Matrix], ncols: int) -> "GF2Subspace":
                 low = rest & -rest
                 img ^= cols[low.bit_length() - 1]
                 rest ^= low
-            v = img | (b << shift)
-            while v & image_mask:
-                low = v & -v
-                p = pivots.get(low)
-                if p is None:
-                    pivots[low] = v
-                    break
-                v ^= p
-            else:
+            v = _eliminate(pivots, img | (b << shift), image_mask)
+            if v:
                 survivors.append(v >> shift)
         basis = survivors
     return GF2Subspace(ncols, basis)
@@ -266,18 +258,10 @@ class GF2Subspace:
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[int]):
-        rows, pivots = _rref(vectors, ambient_dim)
+        rows, pivots = _rref(vectors)
         self.ambient_dim = ambient_dim
         self.basis = tuple(rows)
         self.pivots = tuple(pivots)
-
-    @classmethod
-    def _trusted(cls, ambient_dim, basis, pivots) -> "GF2Subspace":
-        self = object.__new__(cls)
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
-        return self
 
     @property
     def dim(self) -> int:
@@ -317,17 +301,3 @@ class GF2Subspace:
             if v >> p & 1:
                 out |= 1 << i
         return out
-
-    def contains_subspace(self, other: "GF2Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains(r) for r in other.basis)
-
-    def quotient_dim(self, sub: "GF2Subspace") -> int:
-        """dim(self / sub); sub must be contained in self."""
-        if not self.contains_subspace(sub):
-            raise ValueError("not a subspace of this space")
-        return self.dim - sub.dim
-
-    def vectors(self) -> Tuple[int, ...]:
-        return self.basis

@@ -138,9 +138,10 @@ class TestVerify:
         assert data["criteria"][0]["name"] == "stratified-invariance-example"
 
     def test_unknown_suite(self, tmp_path, capsys):
-        rc = main(["verify", "nope"], config=cfg(tmp_path))
-        assert rc == 2
-        assert "unknown suite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nope"], config=cfg(tmp_path))
+        assert exc.value.code == 2
+        assert "argument suite: invalid choice: 'nope'" in capsys.readouterr().err
 
 
 class TestTable:
@@ -166,8 +167,18 @@ class TestBadArguments:
             (["annihilated", "--algebra", "A", "--rank", "4", "--degree", "-1"], "--degree"),
             (["table", "--algebra", "A", "--rank", "1", "--degree-range", "9..3"], "--degree-range"),
             (["table", "--algebra", "A", "--rank", "1", "--degree-range", "3-9"], "--degree-range"),
+            (["annihilated", "--algebra", "Q", "--rank", "1", "--degree", "3"], "--algebra"),
+            (["transfer", "--algebra", "profile=1,x", "--rank", "2", "--degree", "3"], "--algebra"),
         ],
-        ids=["rank-zero", "transfer-rank-zero", "negative-degree", "reversed-range", "malformed-range"],
+        ids=[
+            "rank-zero",
+            "transfer-rank-zero",
+            "negative-degree",
+            "reversed-range",
+            "malformed-range",
+            "unknown-algebra",
+            "bad-profile-literal",
+        ],
     )
     def test_rejected_while_parsing(self, tmp_path, capsys, argv, flag):
         # exit 2 with a message naming the flag, before any computation
@@ -204,12 +215,27 @@ class TestBudgetsAndCache:
         assert rc == 0
 
     def test_bad_algebra_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["annihilated", "--algebra", "Q", "--rank", "1", "--degree", "3"],
+                config=cfg(tmp_path),
+            )
+        assert exc.value.code == 2
+        assert "argument --algebra: cannot read algebra 'Q'" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("subspace is not GL-stable")
+
+        monkeypatch.setattr("steenrod_transfer.cli.coinvariant_quotient", broken)
         rc = main(
-            ["annihilated", "--algebra", "Q", "--rank", "1", "--degree", "3"],
+            ["table", "--algebra", "A", "--rank", "1", "--degree-range", "1..2"],
             config=cfg(tmp_path),
         )
-        assert rc == 2
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "internal error: subspace is not GL-stable" in err
+        assert "usage error" not in err
 
     def test_cache_files_written_and_reused(self, tmp_path, capsys):
         c = cfg(tmp_path)

@@ -8,6 +8,7 @@ from steenrod_transfer.cobar import (
     bidegree_report,
     cell_basis,
     class_of,
+    cohomology,
     cohomology_dim,
     differential,
     differential_matrix,
@@ -22,6 +23,7 @@ from steenrod_transfer.cobar import (
     wordsum_degree,
 )
 from steenrod_transfer.bv import HElement, degree_basis
+from steenrod_transfer.gf2 import GF2Matrix, GF2Subspace
 from steenrod_transfer.milnor import ONE, Profile, antipode, coproduct, dual_basis, mono_mul, xi
 from steenrod_transfer.transfer import f_star, transfer_chain, verify_cocycle
 
@@ -271,6 +273,26 @@ class TestPrimitives:
         assert not is_primitive(Profile.E(2), xi(2, 3))
 
 
+def reference_class(ws, profile):
+    """class_of by another route: solve [h-words | coboundaries] x = z,
+    then reduce the h-part of x modulo the h-parts of the kernel."""
+    if not ws:
+        return frozenset()
+    length, degree = wordsum_degree(ws)
+    basis = cell_basis(profile, length, degree)
+    hms = h_monomials(profile, length, degree)
+    columns = [1 << basis.index(word_of(hm)) for hm in hms]
+    columns += differential_matrix(profile, length - 1, degree).columns()
+    system = GF2Matrix(columns, len(basis)).transpose()
+    x = system.solve(sum(1 << basis.index(w) for w in ws))
+    if x is None:
+        return None
+    h_part = (1 << len(hms)) - 1
+    relations = GF2Subspace(len(hms), [v & h_part for v in system.kernel().basis])
+    coeffs = relations.reduce(x & h_part)
+    return frozenset(hm for j, hm in enumerate(hms) if coeffs >> j & 1)
+
+
 class TestClassOf:
     def test_single_letters(self):
         assert class_of((xi(2),), Profile.E(2)) == frozenset({((2, 0),)})
@@ -325,6 +347,33 @@ class TestClassOf:
 
     def test_zero(self):
         assert class_of(frozenset(), Profile.E(2)) == frozenset()
+
+    def test_coboundary_off_em(self):
+        # H^{2,3} of A is 0, so the cocycle h_{1,1} h_{1,0} is a coboundary
+        assert cohomology_dim(Profile.full(), 2, 3) == 0
+        assert class_of(word_of(((1, 1), (1, 0))), Profile.full()) == frozenset()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(REFERENCE_PROFILES)),
+        st.integers(2, 3),
+        st.integers(3, 12),
+        st.data(),
+    )
+    def test_independent_of_representative(self, name, n, t, data):
+        # z and z + d(u) are the same class, whichever h-monomials relate
+        prof = REFERENCE_PROFILES[name]
+        cocycles = [frozenset({word_of(hm)}) for hm in h_monomials(prof, n, t)]
+        cocycles += cohomology(prof, n, t)[1]
+        chains = cell_basis(prof, n - 1, t)
+        if not cocycles or not chains:
+            return
+        z = frozenset()
+        for c in data.draw(st.lists(st.sampled_from(cocycles), min_size=1, max_size=4)):
+            z ^= c
+        u = data.draw(st.sets(st.sampled_from(chains), min_size=1, max_size=4))
+        assert class_of(z ^ differential(u, prof), prof) == class_of(z, prof)
+        assert class_of(z, prof) == reference_class(z, prof)
 
 
 class TestDisplay:

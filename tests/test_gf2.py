@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenrod_transfer.bv import HElement, annihilated_subspace, gl_act, gl_generators
 from steenrod_transfer.gf2 import (
     BudgetError,
     GF2Matrix,
     GF2Subspace,
+    _rref,
     bit_budget,
     common_kernel,
     set_bit_budget,
 )
+from steenrod_transfer.milnor import Profile
 
 
 def span(vectors, ncols):
@@ -29,6 +32,116 @@ def bits(s):
 
 def random_matrix(rng, nrows, ncols):
     return GF2Matrix([rng.getrandbits(ncols) for _ in range(nrows)], ncols)
+
+
+# -- references: the column-scan elimination the lowest-bit routine replaced --
+
+
+def reference_rref(rows, ncols):
+    """RREF by scanning columns in order.  Returns (nonzero rows, pivots)."""
+    work = [r for r in rows if r]
+    out = []
+    pivots = []
+    for col in range(ncols):
+        bit = 1 << col
+        hit = -1
+        for i, r in enumerate(work):
+            if r & bit:
+                hit = i
+                break
+        if hit < 0:
+            continue
+        piv = work.pop(hit)
+        work = [r ^ piv if r & bit else r for r in work]
+        work = [r for r in work if r]
+        out = [r ^ piv if r & bit else r for r in out]
+        out.append(piv)
+        pivots.append(col)
+        if not work:
+            break
+    return out, pivots
+
+
+def reference_kernel(rows, ncols):
+    """Null space from the free columns of the RREF, itself put in RREF."""
+    rref, pivots = reference_rref(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = 1 << free
+        for r, p in zip(rref, pivots):
+            if r >> free & 1:
+                v |= 1 << p
+        basis.append(v)
+    return reference_rref(basis, ncols)[0]
+
+
+def reference_solve(rows, ncols, target):
+    """x with M x = target read off the RREF of [M | target], or None."""
+    aug = [r | (target >> i & 1) << ncols for i, r in enumerate(rows)]
+    x = 0
+    for r, p in zip(*reference_rref(aug, ncols + 1)):
+        if p == ncols:
+            return None
+        if r >> ncols & 1:
+            x |= 1 << p
+    return x
+
+
+@st.composite
+def bit_rows(draw, max_rows=14, max_cols=40):
+    """(rows, ncols) with rows either dense or with a few bits each."""
+    ncols = draw(st.integers(0, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    if ncols == 0:
+        return [0] * nrows, ncols
+    if draw(st.booleans()):
+        row = st.integers(0, 2**ncols - 1)
+    else:
+        row = st.lists(st.integers(0, ncols - 1), max_size=3).map(
+            lambda js: sum({1 << j for j in js})
+        )
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+class TestAgainstColumnScan:
+    @given(bit_rows())
+    def test_rref_rows_and_pivots(self, case):
+        rows, ncols = case
+        assert _rref(rows) == reference_rref(rows, ncols)
+        assert GF2Subspace(ncols, rows).basis == tuple(reference_rref(rows, ncols)[0])
+
+    @given(bit_rows())
+    def test_kernel(self, case):
+        rows, ncols = case
+        assert GF2Matrix(rows, ncols).kernel().basis == tuple(reference_kernel(rows, ncols))
+
+    @given(bit_rows(), st.data())
+    def test_solve(self, case, data):
+        rows, ncols = case
+        if not rows:
+            return
+        target = data.draw(st.integers(0, 2 ** len(rows) - 1))
+        assert GF2Matrix(rows, ncols).solve(target) == reference_solve(rows, ncols, target)
+
+    def test_back_reduction_needed(self):
+        # echelon form alone would leave bit 1 in the first row
+        assert _rref([0b011, 0b010]) == ([0b001, 0b010], [0, 1])
+
+    def test_seeded_coinvariant_relations(self):
+        # the vectors p + g p that coinvariant_quotient eliminates at A r4 d20
+        space = annihilated_subspace(Profile.full(), 4, 20)
+        vecs = [
+            v ^ gl_act(g, HElement.from_coords(4, 20, v)).to_coords()
+            for v in space.basis
+            for g in gl_generators(4)
+        ]
+        assert len(vecs) == 220
+        want = reference_rref(vecs, space.ambient_dim)
+        assert _rref(vecs) == want
+        m = GF2Matrix(vecs, space.ambient_dim)
+        ker = m.kernel()
+        assert ker.dim == space.ambient_dim - len(want[0])
+        assert all(m.mul_vec(v) == 0 for v in ker.basis)
 
 
 class TestRank:
@@ -197,19 +310,6 @@ class TestSerialization:
         blob = GF2Matrix([1, 2, 3], 65).to_bytes()
         with pytest.raises(ValueError):
             GF2Matrix.from_bytes(blob[:-1])
-
-
-class TestQuotient:
-    def test_quotient_dim(self):
-        big = GF2Matrix([bits("100"), bits("010"), bits("001")], 3).row_space()
-        small = GF2Matrix([bits("110")], 3).row_space()
-        assert big.quotient_dim(small) == 2
-
-    def test_not_contained(self):
-        a = GF2Matrix([bits("10")], 2).row_space()
-        b = GF2Matrix([bits("01")], 2).row_space()
-        with pytest.raises(ValueError):
-            a.quotient_dim(b)
 
 
 class TestBudget:
