@@ -23,9 +23,8 @@ from dataclasses import dataclass
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from steenrod_transfer.bv import is_D_annihilated_rank1
-from steenrod_transfer.checks import _presentable
 from steenrod_transfer.milnor import Profile
-from steenrod_transfer.transfer import f_star
+from steenrod_transfer.transfer import f_star, presentable
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ def probe_window(cfg: ProbeConfig) -> bool:
         mismatches = [
             k
             for k in range(1, cfg.max_degree + 1)
-            if bool(f_star(k, profile)) != _presentable(k, m)
+            if bool(f_star(k, profile)) != presentable(k, m)
         ]
         if mismatches:
             ok = False

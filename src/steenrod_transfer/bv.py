@@ -55,6 +55,8 @@ __all__ = [
     "HElement",
     "degree_basis",
     "basis_dim",
+    "terms_to_coords",
+    "coords_to_terms",
     "expand_action",
     "action_matrix",
     "right_action",
@@ -109,6 +111,25 @@ def basis_dim(rank: int, degree: int) -> int:
     return math.comb(degree + rank - 1, rank - 1)
 
 
+def terms_to_coords(rank: int, degree: int, terms: Iterable[Monomial]) -> int:
+    """Bitset of distinct exponent tuples, bit i for degree_basis index i."""
+    idx = _basis_index(rank, degree)
+    v = 0
+    for m in terms:
+        v |= 1 << idx[m]
+    return v
+
+
+def coords_to_terms(rank: int, degree: int, v: int) -> FrozenSet[Monomial]:
+    """The exponent tuples at the set bits of v; inverse of terms_to_coords."""
+    basis = degree_basis(rank, degree)
+    terms = set()
+    while v:
+        terms.add(basis[(v & -v).bit_length() - 1])
+        v &= v - 1
+    return frozenset(terms)
+
+
 @dataclass(frozen=True)
 class HElement:
     """A homogeneous element of H_degree(BV_rank), as a set of b_E terms."""
@@ -142,21 +163,11 @@ class HElement:
         return HElement(self.rank, self.degree, self.terms ^ other.terms)
 
     def to_coords(self) -> int:
-        idx = _basis_index(self.rank, self.degree)
-        v = 0
-        for m in self.terms:
-            v |= 1 << idx[m]
-        return v
+        return terms_to_coords(self.rank, self.degree, self.terms)
 
     @classmethod
     def from_coords(cls, rank: int, degree: int, v: int) -> "HElement":
-        basis = degree_basis(rank, degree)
-        terms = set()
-        while v:
-            i = (v & -v).bit_length() - 1
-            terms.add(basis[i])
-            v &= v - 1
-        return cls(rank, degree, frozenset(terms))
+        return cls(rank, degree, coords_to_terms(rank, degree, v))
 
     def to_dict(self) -> dict:
         return {
@@ -418,34 +429,46 @@ def _compositions(k: int, parts: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _gl_columns(g: GLMatrix) -> Tuple[Tuple[int, ...], ...]:
+    """For each generator a_j, the i with g[i][j] = 1."""
+    n = len(g)
+    return tuple(tuple(i for i in range(n) if g[i][j]) for j in range(n))
+
+
+def _gl_term(cols: Tuple[Tuple[int, ...], ...], term: Monomial) -> set:
+    """Terms of g . b_term, with g given by _gl_columns: each a_j^(k) is
+    expanded over the a_i in its column and multiplied into the partial
+    products, a term dying when two divided powers collide."""
+    n = len(term)
+    partial = {(0,) * n}
+    for j in range(n):
+        k = term[j]
+        if k == 0:
+            continue
+        if not cols[j]:
+            return set()
+        nxt: set = set()
+        for vec in partial:
+            for comp in _compositions(k, len(cols[j])):
+                new = list(vec)
+                ok = True
+                for i, c in zip(cols[j], comp):
+                    if new[i] & c:  # binom(p+q, p) even
+                        ok = False
+                        break
+                    new[i] += c
+                if ok:
+                    nxt.symmetric_difference_update({tuple(new)})
+        partial = nxt
+    return partial
+
+
 def gl_act(g: GLMatrix, x: HElement) -> HElement:
     """Divided power substitution a_j -> sum_i g[i][j] a_i applied to x."""
-    n = x.rank
-    cols = [[i for i in range(n) if g[i][j]] for j in range(n)]
+    cols = _gl_columns(g)
     out: set = set()
     for term in x.terms:
-        partial = {(0,) * n}
-        for j in range(n):
-            k = term[j]
-            if k == 0:
-                continue
-            if not cols[j]:
-                partial = set()
-                break
-            nxt: set = set()
-            for vec in partial:
-                for comp in _compositions(k, len(cols[j])):
-                    new = list(vec)
-                    ok = True
-                    for i, c in zip(cols[j], comp):
-                        if new[i] & c:  # binom(p+q, p) even
-                            ok = False
-                            break
-                        new[i] += c
-                    if ok:
-                        nxt.symmetric_difference_update({tuple(new)})
-            partial = nxt
-        out ^= partial
+        out ^= _gl_term(cols, term)
     return HElement(x.rank, x.degree, frozenset(out))
 
 
@@ -500,17 +523,30 @@ def coinvariant_quotient(
     g over group generators; stability under the generators is enough
     and is verified here.  Passing a profile quotients its annihilated
     subspace, which is GL-stable because the two actions commute.
+    Each generator maps each basis monomial once per call: g p is the sum
+    of the images of p's bits.
     """
     if isinstance(space, Profile):
         space = annihilated_subspace(space, rank, degree)
     ambient = basis_dim(rank, degree)
     if space.ambient_dim != ambient:
         raise ValueError("subspace not in the right coordinate space")
+    basis = degree_basis(rank, degree)
+    # per generator, the coordinates of g . b_E for each basis bit met so far
+    actions = [(_gl_columns(g), {}) for g in gl_generators(rank)]
     vecs = []
     for v in space.basis:
-        x = HElement.from_coords(rank, degree, v)
-        for g in gl_generators(rank):
-            w = v ^ gl_act(g, x).to_coords()
+        for cols, images in actions:
+            w = v
+            rest = v
+            while rest:
+                low = rest & -rest
+                img = images.get(low)
+                if img is None:
+                    term = basis[low.bit_length() - 1]
+                    img = images[low] = terms_to_coords(rank, degree, _gl_term(cols, term))
+                w ^= img
+                rest ^= low
             if not space.contains(w):
                 raise ValueError("subspace is not GL-stable")
             vecs.append(w)

@@ -45,7 +45,7 @@ from .gf2 import GF2Subspace
 from .hit import PolyElement, apply_op, chi_sq, is_hit, parse_poly, parse_terms, peterson_wood
 from .milnor import Profile, Pst, frobenius, generators, xi
 from .stratr import is_invariant, parse_r_text, same_s_excluded
-from .transfer import f_star, transfer_chain, transfer_class
+from .transfer import f_star, presentable, transfer_chain, transfer_class
 
 __all__ = [
     "CheckResult",
@@ -218,26 +218,6 @@ def crit_rank1_annihilation() -> List[CheckResult]:
 # -- transfer image windows ----------------------------------------------
 
 
-def _presentable(k: int, m: int) -> bool:
-    """k+1 a sum of parts 2^s(2^t - 1) with pairwise distinct s < m <= t."""
-
-    def rec(s: int, rem: int) -> bool:
-        if rem == 0:
-            return True
-        if s >= m or rem < 0:
-            return False
-        if rec(s + 1, rem):  # skip this s
-            return True
-        t = m
-        while (1 << s) * ((1 << t) - 1) <= rem:
-            if rec(s + 1, rem - (1 << s) * ((1 << t) - 1)):
-                return True
-            t += 1
-        return False
-
-    return rec(0, k + 1)
-
-
 def crit_transfer_windows() -> List[CheckResult]:
     out = []
 
@@ -245,7 +225,7 @@ def crit_transfer_windows() -> List[CheckResult]:
     for m in range(1, 4):
         prof = Profile.E(m)
         for k in range(201):
-            if bool(f_star(k, prof)) != _presentable(k, m):
+            if bool(f_star(k, prof)) != presentable(k, m):
                 bad.append((k, m))
     out.append(
         CheckResult(

@@ -3,13 +3,8 @@
 Four subcommands: `annihilated` prints the annihilated subspace of one
 (algebra, rank, degree) cell, `transfer` adds the chain-level transfer
 image and class of each basis element, `verify` runs a named check
-suite, and `table` sweeps a degree range into CSV.
-
-Action matrices are memoized on disk under the config's cache
-directory (override with the STRAT_CACHE environment variable) in the
-GF2M format; writes go through a temp file and an atomic rename so
-concurrent runs never see partial files.  A cache file that cannot be
-read or has the wrong shape counts as a miss and is rewritten.
+suite, and `table` sweeps a degree range into CSV.  Nothing is written
+to disk; every cell is computed afresh.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (raised while parsing), 3 budget exceeded, 4 internal error (a
@@ -20,33 +15,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
-from .bv import HElement, annihilated_subspace, action_matrix, basis_dim, coinvariant_quotient
+from .bv import HElement, annihilated_subspace, basis_dim, coinvariant_quotient
 from .checks import SUITES, run_suite, suite_report
-from .cobar import hclass_str
-from .gf2 import BudgetError, GF2Matrix
-from .milnor import Profile, Pst
-from .transfer import transfer_chain, transfer_class, verify_cocycle
+from .cobar import class_of, hclass_str
+from .gf2 import BudgetError
+from .milnor import Profile
+from .transfer import transfer_chain, verify_cocycle
 
-__all__ = ["RunConfig", "default_config", "parse_algebra", "parse_degree_range", "main"]
+__all__ = ["RunConfig", "parse_algebra", "parse_degree_range", "main"]
 
 
 @dataclass
 class RunConfig:
-    cache_dir: Path
     max_rank: int = 4
     max_degree: int = 40
     max_degree_low_rank: int = 600  # applies at rank <= 2
     oracle_mode: bool = False
 
     def __post_init__(self):
-        self.cache_dir = Path(self.cache_dir)
         if self.max_rank <= 0 or self.max_degree <= 0:
             raise ValueError("budgets must be positive")
 
@@ -60,48 +50,6 @@ class RunConfig:
             raise BudgetError(
                 f"degree {degree} exceeds budget {self.degree_budget(rank)} at rank {rank}"
             )
-
-
-def default_config() -> RunConfig:
-    env = os.environ.get("STRAT_CACHE")
-    if env:
-        cache = Path(env)
-    else:
-        cache = Path.home() / ".cache" / "steenrod-transfer"
-    return RunConfig(cache_dir=cache)
-
-
-# -- disk cache ----------------------------------------------------------
-
-
-def _cached_matrix(cfg: RunConfig) -> Callable[[object, int, int], GF2Matrix]:
-    def provider(op, rank: int, degree: int) -> GF2Matrix:
-        if not isinstance(op, Pst):
-            return action_matrix(op, rank, degree)
-        path = cfg.cache_dir / f"act_s{op.s}_t{op.t}_r{rank}_d{degree}.gf2m"
-        try:
-            mat = GF2Matrix.from_bytes(path.read_bytes())
-        except (OSError, ValueError):
-            mat = None
-        if mat is not None and (mat.nrows, mat.ncols) == (
-            basis_dim(rank, degree - op.degree),
-            basis_dim(rank, degree),
-        ):
-            return mat
-        mat = action_matrix(op, rank, degree)
-        cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(mat.to_bytes())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return mat
-
-    return provider
 
 
 # -- argument parsing ------------------------------------------------------
@@ -185,11 +133,7 @@ def cmd_annihilated(cfg: RunConfig, args) -> int:
     profile = parse_algebra(args.algebra)
     cfg.check_budget(args.rank, args.degree)
     sub = annihilated_subspace(
-        profile,
-        args.rank,
-        args.degree,
-        exhaustive=args.oracle or cfg.oracle_mode,
-        matrix=_cached_matrix(cfg),
+        profile, args.rank, args.degree, exhaustive=args.oracle or cfg.oracle_mode
     )
     elements = [
         HElement.from_coords(args.rank, args.degree, v) for v in sub.basis
@@ -222,9 +166,7 @@ def cmd_annihilated(cfg: RunConfig, args) -> int:
 def cmd_transfer(cfg: RunConfig, args) -> int:
     profile = parse_algebra(args.algebra)
     cfg.check_budget(args.rank, args.degree)
-    sub = annihilated_subspace(
-        profile, args.rank, args.degree, matrix=_cached_matrix(cfg)
-    )
+    sub = annihilated_subspace(profile, args.rank, args.degree)
     elementary = profile.is_elementary()
     rows = []
     for v in sub.basis:
@@ -233,7 +175,7 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
         cocycle = verify_cocycle(img, profile)
         cls = None
         if elementary and cocycle:
-            cls = transfer_class(e, profile)
+            cls = class_of(img.words, profile)
         rows.append((e, img, cocycle, cls))
     if args.format == "json":
         print(
@@ -288,9 +230,7 @@ def cmd_table(cfg: RunConfig, args) -> int:
 
     rows = []
     for d in degrees:
-        sub = annihilated_subspace(
-            profile, args.rank, d, matrix=_cached_matrix(cfg)
-        )
+        sub = annihilated_subspace(profile, args.rank, d)
         rows.append(f"{d},{sub.dim},{coinvariant_quotient(sub, args.rank, d).dim}")
     print("degree,annihilated_dim,coinvariant_dim")
     for row in rows:
@@ -353,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, config: Optional[RunConfig] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config if config is not None else default_config()
+    cfg = config if config is not None else RunConfig()
     try:
         return args.func(cfg, args)
     except BudgetError as e:

@@ -8,10 +8,6 @@ A row's pivot is its lowest set bit, and _eliminate is the one
 elimination routine: _rref (behind rank, row_space, solve and
 GF2Subspace) and common_kernel (behind kernel) both reduce vectors with
 it against a dict of pivot rows keyed by that bit.
-
-Serialized form ("GF2M"): 4-byte magic, row count and column count as
-64-bit little-endian words, then the rows in row-major order, each row
-padded to ceil(cols/64) little-endian 64-bit words.
 """
 
 from __future__ import annotations
@@ -26,8 +22,6 @@ __all__ = [
     "bit_budget",
     "set_bit_budget",
 ]
-
-_MAGIC = b"GF2M"
 
 # rows*cols guard for a single matrix; keeps runaway degree/rank requests
 # from allocating silly amounts of memory.
@@ -192,29 +186,6 @@ class GF2Matrix:
             if r >> self.ncols & 1:
                 x |= 1 << p
         return x
-
-    def to_bytes(self) -> bytes:
-        wpr = (self.ncols + 63) // 64
-        head = _MAGIC + self.nrows.to_bytes(8, "little") + self.ncols.to_bytes(8, "little")
-        body = b"".join(r.to_bytes(wpr * 8, "little") for r in self.rows)
-        return head + body
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "GF2Matrix":
-        if blob[:4] != _MAGIC:
-            raise ValueError("bad magic")
-        nrows = int.from_bytes(blob[4:12], "little")
-        ncols = int.from_bytes(blob[12:20], "little")
-        wpr = (ncols + 63) // 64
-        need = 20 + nrows * wpr * 8
-        if len(blob) != need:
-            raise ValueError(f"expected {need} bytes, got {len(blob)}")
-        rows = []
-        off = 20
-        for _ in range(nrows):
-            rows.append(int.from_bytes(blob[off : off + wpr * 8], "little"))
-            off += wpr * 8
-        return cls(rows, ncols)
 
 
 def common_kernel(mats: Iterable[GF2Matrix], ncols: int) -> "GF2Subspace":

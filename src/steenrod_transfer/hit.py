@@ -29,9 +29,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .bv import Monomial, basis_dim, degree_basis, _basis_index
+from .bv import Monomial, basis_dim, coords_to_terms, degree_basis, terms_to_coords
 from .gf2 import GF2Matrix, GF2Subspace
 
 __all__ = [
@@ -92,16 +92,11 @@ class PolyElement:
         return PolyElement(self.rank, self.degree + other.degree, frozenset(acc))
 
     def to_coords(self) -> int:
-        idx = _basis_index(self.rank, self.degree)
-        v = 0
-        for t in self.terms:
-            v |= 1 << idx[t]
-        return v
+        return terms_to_coords(self.rank, self.degree, self.terms)
 
     @classmethod
     def from_coords(cls, rank: int, degree: int, v: int) -> "PolyElement":
-        basis = degree_basis(rank, degree)
-        return cls(rank, degree, frozenset(basis[i] for i in range(len(basis)) if v >> i & 1))
+        return cls(rank, degree, coords_to_terms(rank, degree, v))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -153,13 +148,11 @@ def sq(i: int, p: PolyElement) -> PolyElement:
 def sq_matrix(i: int, rank: int, degree: int) -> GF2Matrix:
     """Matrix of Sq^i: H^degree -> H^{degree+i}, target rows over source
     columns, in degree_basis coordinates on both sides."""
-    src = degree_basis(rank, degree)
-    tgt_idx = _basis_index(rank, degree + i)
-    rows = [0] * basis_dim(rank, degree + i)
-    for j, mono in enumerate(src):
-        for image in _sq_mono(i, mono) if i else [mono]:
-            rows[tgt_idx[image]] ^= 1 << j
-    return GF2Matrix(rows, len(src))
+    cols = [
+        terms_to_coords(rank, degree + i, _sq_mono(i, mono) if i else {mono})
+        for mono in degree_basis(rank, degree)
+    ]
+    return GF2Matrix(cols, basis_dim(rank, degree + i)).transpose()
 
 
 @lru_cache(maxsize=None)
@@ -170,14 +163,11 @@ def decomposables(rank: int, degree: int) -> GF2Subspace:
     generate the algebra and hit elements absorb further operations.
     """
     vectors: List[int] = []
-    tgt_idx = _basis_index(rank, degree)
     j = 0
     while (1 << j) <= degree:
         i = 1 << j
         for mono in degree_basis(rank, degree - i):
-            v = 0
-            for image in _sq_mono(i, mono):
-                v ^= 1 << tgt_idx[image]
+            v = terms_to_coords(rank, degree, _sq_mono(i, mono))
             if v:
                 vectors.append(v)
         j += 1

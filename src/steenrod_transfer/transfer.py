@@ -27,10 +27,11 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from .bv import HElement
 from .cobar import WordSum, class_of, is_cocycle
-from .milnor import ONE, DualPoly, Profile, Xi, mono_mul, xi
+from .milnor import ONE, DualPoly, Profile, mono_mul, xi
 
 __all__ = [
     "f_star",
+    "presentable",
     "TransferImage",
     "transfer_chain",
     "transfer_class",
@@ -63,6 +64,27 @@ def f_star(k: int, profile: Profile = Profile.full()) -> DualPoly:
         out = frozenset(acc)
         memo[key] = out
         return out
+
+    return rec(0, k + 1)
+
+
+def presentable(k: int, m: int) -> bool:
+    """k+1 a sum of parts 2^s(2^t - 1) with pairwise distinct s < m <= t:
+    the partition oracle for f_star(k, E(m)) being nonzero."""
+
+    def rec(s: int, rem: int) -> bool:
+        if rem == 0:
+            return True
+        if s >= m or rem < 0:
+            return False
+        if rec(s + 1, rem):  # skip this s
+            return True
+        t = m
+        while (1 << s) * ((1 << t) - 1) <= rem:
+            if rec(s + 1, rem - (1 << s) * ((1 << t) - 1)):
+                return True
+            t += 1
+        return False
 
     return rec(0, k + 1)
 
@@ -108,7 +130,4 @@ def transfer_class(
     Raises if the image is not a cocycle, which happens when x is not
     annihilated by the profile's algebra.
     """
-    img = transfer_chain(x, profile)
-    if img.is_zero():
-        return frozenset()
-    return class_of(img.words, profile)
+    return class_of(transfer_chain(x, profile).words, profile)

@@ -24,7 +24,7 @@ from steenrod_transfer.bv import (
     swap_matrix,
     transvection,
 )
-from steenrod_transfer.gf2 import GF2Matrix
+from steenrod_transfer.gf2 import GF2Matrix, GF2Subspace
 from steenrod_transfer.milnor import Profile, Pst, generators, xi
 
 
@@ -35,6 +35,18 @@ def eq22_oracle(k, s, t):
     if k - d < 0 or math.comb(k - d, 1 << s) % 2 == 0:
         return None
     return k - d
+
+
+def reference_coinvariants(space, rank, degree):
+    """(relations, reps) of coinvariant_quotient, with each relation
+    p + g p built element by element through gl_act."""
+    vecs = [
+        v ^ gl_act(g, HElement.from_coords(rank, degree, v)).to_coords()
+        for v in space.basis
+        for g in gl_generators(rank)
+    ]
+    relations = GF2Subspace(space.ambient_dim, vecs)
+    return relations, GF2Subspace(space.ambient_dim, [relations.reduce(v) for v in space.basis])
 
 
 @st.composite
@@ -361,6 +373,17 @@ class TestCoinvariants:
         space = GF2Matrix([1 << 0], basis_dim(2, 2)).row_space()
         with pytest.raises(ValueError):
             coinvariant_quotient(space, 2, 2)
+
+    @pytest.mark.parametrize(
+        "profile, rank, degrees",
+        [(Profile.full(), 4, range(18, 25)), (Profile.E(2), 3, range(1, 21))],
+        ids=["A-r4", "E2-r3"],
+    )
+    def test_matches_reference(self, profile, rank, degrees):
+        for d in degrees:
+            space = annihilated_subspace(profile, rank, d)
+            pres = coinvariant_quotient(space, rank, d)
+            assert (pres.relations, pres.reps) == reference_coinvariants(space, rank, d)
 
     def test_class_arithmetic(self):
         sub = annihilated_subspace(Profile.E(2), 2, 11)

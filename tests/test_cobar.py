@@ -45,6 +45,15 @@ REFERENCE_PROFILES = {
 }
 
 
+@st.composite
+def profiles(draw):
+    """Non-decreasing heads, then a const tail at least the last head
+    (None is the infinite tail)."""
+    heads = sorted(draw(st.lists(st.integers(0, 4), max_size=3)))
+    tail = draw(st.one_of(st.none(), st.integers(heads[-1] if heads else 0, 5)))
+    return Profile(tuple(heads), "const", tail)
+
+
 def reference_differential(ws, profile):
     """d word by word: every coproduct choice is multiplied out and sent
     through the antipode on its own, with no grouping or cancellation
@@ -121,7 +130,15 @@ class TestDifferential:
         st.data(),
     )
     def test_d_squared_zero(self, name, n, t, data):
-        prof = PROFILES[name]
+        self.check_d_squared_zero(PROFILES[name], n, t, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(profiles(), st.integers(1, 3), st.integers(1, 10), st.data())
+    def test_d_squared_zero_random_profile(self, prof, n, t, data):
+        self.check_d_squared_zero(prof, n, t, data)
+
+    @staticmethod
+    def check_d_squared_zero(prof, n, t, data):
         basis = cell_basis(prof, n, t)
         if not basis:
             return

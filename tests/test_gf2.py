@@ -288,30 +288,6 @@ class TestTranspose:
                 assert (m.rows[i] >> j & 1) == (t.rows[j] >> i & 1)
 
 
-class TestSerialization:
-    @given(st.lists(st.integers(0, 2**70 - 1), max_size=5))
-    def test_roundtrip_wide(self, rows):
-        m = GF2Matrix(rows, 70)
-        assert GF2Matrix.from_bytes(m.to_bytes()) == m
-
-    def test_header_layout(self):
-        m = GF2Matrix([1, 2], 2)
-        blob = m.to_bytes()
-        assert blob[:4] == b"GF2M"
-        assert int.from_bytes(blob[4:12], "little") == 2
-        assert int.from_bytes(blob[12:20], "little") == 2
-        assert len(blob) == 20 + 2 * 8
-
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            GF2Matrix.from_bytes(b"XXXX" + bytes(16))
-
-    def test_truncated(self):
-        blob = GF2Matrix([1, 2, 3], 65).to_bytes()
-        with pytest.raises(ValueError):
-            GF2Matrix.from_bytes(blob[:-1])
-
-
 class TestBudget:
     def test_budget_respected(self):
         old = set_bit_budget(100)
