@@ -14,8 +14,11 @@ the Cartan formula), the forward rule
     b_E . P_t^s = sum over a with sum_v a_v = 2^s of b_{E - a(2^t-1)},
 
 where a term is kept when every a_v is a binary submask of its target
-exponent E_v - a_v(2^t-1) (Lucas).  action_matrix and right_action use
-it for every Pst.  A general Milnor monomial xi^mu goes through
+exponent E_v - a_v(2^t-1) (Lucas).  right_action applies it term by
+term.  action_matrix builds each row from it block by block: the sorted
+basis groups the sources by first exponent, so fixing a_0 fixes the
+block, and the row is the OR of the rank-(n-1) rows of the tail shifted
+to their blocks.  A general Milnor monomial xi^mu goes through
 expand_action instead, which extracts coefficients from the coaction on
 a rank-1 class x^d (x^{2^j} goes to sum_i x^{2^{i+j}} (x) xi_i^{2^j},
 multiplicatively over the binary digits of d) by assigning binary
@@ -27,6 +30,11 @@ The general linear group acts by divided power substitution: for g in
 GL(n, 2) the generator a_j goes to sum_i g[i][j] a_i (column convention),
 expanded with gamma_k(u + v) = sum gamma_i(u) gamma_j(v) and the product
 rule a^(p) a^(q) = binom(p+q, p) a^(p+q), odd exactly when p & q == 0.
+gl_act does this for any matrix.  The coinvariants need only the two
+generators of gl_generators, which have closed forms: the n-cycle
+rotates the exponents, and the transvection a_1 -> a_0 + a_1 sends b_E
+to the sum of b_{(e_0+c, e_1-c, e_2, ...)} over c <= e_1 with
+c & e_0 == 0.
 """
 
 from __future__ import annotations
@@ -233,34 +241,6 @@ def expand_action(op: Operation, source: Monomial) -> FrozenSet[Monomial]:
     return frozenset(out)
 
 
-def _pst_row(target: Monomial, s: int, t: int) -> Iterator[Monomial]:
-    """Sources F with b_F . P_t^s containing b_target: F = E + a(2^t - 1)
-    for E = target over the splits sum a_v = 2^s with each a_v a binary
-    submask of E_v.  Distinct splits give distinct sources."""
-    n = len(target)
-    m = (1 << t) - 1
-    acc: List[int] = []
-
-    def walk(v: int, rem: int) -> Iterator[Monomial]:
-        e = target[v]
-        if v == n - 1:
-            if rem & e == rem:
-                yield tuple(acc) + (e + rem * m,)
-            return
-        cand = e & ((1 << rem.bit_length()) - 1)
-        a = cand
-        while True:
-            if a <= rem:
-                acc.append(e + a * m)
-                yield from walk(v + 1, rem - a)
-                acc.pop()
-            if not a:
-                return
-            a = (a - 1) & cand
-
-    return walk(0, 1 << s)
-
-
 def _pst_image(source: Monomial, s: int, t: int) -> Iterator[Monomial]:
     """Terms of b_source . P_t^s by the forward rule: b_{F - a(2^t - 1)}
     over the splits sum a_v = 2^s whose parts a_v are binary submasks of
@@ -292,19 +272,88 @@ def action_matrix(op: Operation, rank: int, degree: int) -> GF2Matrix:
 
     Row E (target basis) has bit F set iff x^F occurs in the cohomology
     expansion of op on x^E; mul_vec then maps source to target coords.
-    A Pst is built from the closed-form rule, a general Milnor monomial
-    (or Pst.dual) from expand_action.
+    A Pst is built from the closed-form rule (_pst_rows), a general Milnor
+    monomial (or Pst.dual) from expand_action.
     """
-    pst = isinstance(op, Pst)
-    k = op.degree if pst else mono_degree(op)
+    ncols = basis_dim(rank, degree)
+    if isinstance(op, Pst):
+        return GF2Matrix(_pst_rows(rank, degree - op.degree, op.s, op.t), ncols)
     src_idx = _basis_index(rank, degree)
     rows = []
-    for target in degree_basis(rank, degree - k):
+    for target in degree_basis(rank, degree - mono_degree(op)):
         bits = 0
-        for f in _pst_row(target, op.s, op.t) if pst else expand_action(op, target):
+        for f in expand_action(op, target):
             bits |= 1 << src_idx[f]
         rows.append(bits)
-    return GF2Matrix(rows, basis_dim(rank, degree))
+    return GF2Matrix(rows, ncols)
+
+
+@lru_cache(maxsize=None)
+def _block_starts(rank: int, degree: int) -> Tuple[int, ...]:
+    """Index in degree_basis(rank, degree) of the first monomial with first
+    exponent f, for f = 0..degree: the basis is sorted, so the monomials
+    with first exponent f form one block of basis_dim(rank - 1, degree - f)."""
+    return tuple(
+        itertools.accumulate((basis_dim(rank - 1, degree - f) for f in range(degree)), initial=0)
+    )
+
+
+def _pst_rows(rank: int, degree: int, s: int, t: int) -> List[int]:
+    """Rows of action_matrix(Pst(s, t)) for the targets of the given degree.
+
+    The row of target E under a total r has a bit at each source
+    E + a(2^t - 1) with sum a_v = r and every a_v a binary submask of E_v.
+    Fixing a_0 fixes the source's first exponent e_0 + a_0(2^t - 1), i.e.
+    its block (_block_starts), inside which the source sits where its tail
+    sits in the basis one rank lower: the row is the OR over a_0 of the
+    tail's row under r - a_0, shifted to that block.  Rank-2 rows are
+    memoized for this call.
+    """
+    m = (1 << t) - 1
+    pairs: Dict[Tuple[int, int, int], int] = {}
+
+    def row2(e0: int, e1: int, r: int) -> int:
+        key = (e0, e1, r)
+        bits = pairs.get(key)
+        if bits is None:
+            bits = 0
+            cand = e0 & ((1 << r.bit_length()) - 1)
+            a = cand
+            while a >= r - e1:
+                if a <= r and (r - a) & e1 == r - a:
+                    bits |= 1 << (e0 + a * m)
+                if not a:
+                    break
+                a = (a - 1) & cand
+            pairs[key] = bits
+        return bits
+
+    def row(e: Monomial, d: int, r: int) -> int:
+        e0 = e[0]
+        tail = e[1:]
+        d_tail = d - e0
+        starts = _block_starts(len(e), d + r * m)
+        short = len(tail) == 2
+        bits = 0
+        cand = e0 & ((1 << r.bit_length()) - 1)
+        a = cand
+        # the tail takes r - a, at most its degree
+        while a >= r - d_tail:
+            if a <= r:
+                sub = row2(tail[0], tail[1], r - a) if short else row(tail, d_tail, r - a)
+                if sub:
+                    bits |= sub << starts[e0 + a * m]
+            if not a:
+                break
+            a = (a - 1) & cand
+        return bits
+
+    r = 1 << s
+    if rank == 1:
+        return [int(r & e0 == r) for (e0,) in degree_basis(1, degree)]
+    if rank == 2:
+        return [row2(e0, e1, r) for e0, e1 in degree_basis(2, degree)]
+    return [row(e, degree, r) for e in degree_basis(rank, degree)]
 
 
 def right_action(x: HElement, op: Operation) -> HElement:
@@ -340,7 +389,7 @@ def annihilated_subspace(
     definition and serves as a cross-check on small windows.  The
     kernels of the operations' matrices are intersected one at a time
     (common_kernel).  matrix swaps in another action-matrix source, e.g.
-    a disk cache.
+    a timed wrapper.
     """
     ops: List[Operation]
     if exhaustive:
@@ -413,11 +462,35 @@ def transvection(n: int, i: int, j: int) -> GLMatrix:
 
 
 def gl_generators(n: int) -> Tuple[GLMatrix, ...]:
-    """Adjacent swaps plus one transvection generate GL(n, 2)."""
-    gens = [swap_matrix(n, i, i + 1) for i in range(n - 1)]
-    if n >= 2:
-        gens.append(transvection(n, 0, 1))
-    return tuple(gens)
+    """Two generators of GL(n, 2) (Waterhouse 1989): the n-cycle
+    a_j -> a_{j+1 mod n} and transvection(n, 0, 1), a_1 -> a_0 + a_1.
+    At n = 2 the cycle is the swap; GL(1, 2) is trivial and gets none.
+    coinvariant_quotient applies them in closed form (_rotate, _shear).
+    """
+    if n < 2:
+        return ()
+    cycle = tuple(tuple(1 if r == (c + 1) % n else 0 for c in range(n)) for r in range(n))
+    return (cycle, transvection(n, 0, 1))
+
+
+def _rotate(term: Monomial, idx: Dict[Monomial, int]) -> int:
+    """Coordinates of g . b_term for the n-cycle of gl_generators: a_j^(e)
+    becomes a_{j+1}^(e), so the exponents rotate one place right."""
+    return 1 << idx[term[-1:] + term[:-1]]
+
+
+def _shear(term: Monomial, idx: Dict[Monomial, int]) -> int:
+    """Coordinates of g . b_term for transvection(n, 0, 1): a_0^(e_0)
+    gamma_{e_1}(a_0 + a_1) is the sum over c <= e_1 of
+    binom(e_0 + c, c) a_0^(e_0 + c) a_1^(e_1 - c), and the binomial is odd
+    exactly when c & e_0 == 0 (Lucas)."""
+    e0, e1 = term[0], term[1]
+    rest = term[2:]
+    v = 0
+    for c in range(e1 + 1):
+        if not c & e0:
+            v |= 1 << idx[(e0 + c, e1 - c) + rest]
+    return v
 
 
 def _compositions(k: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -520,9 +593,10 @@ def coinvariant_quotient(
     """Quotient of a GL-stable subspace by the augmentation submodule.
 
     Relations are spanned by p + g p for p over a basis of the space and
-    g over group generators; stability under the generators is enough
-    and is verified here.  Passing a profile quotients its annihilated
-    subspace, which is GL-stable because the two actions commute.
+    g over the two gl_generators, applied in closed form; stability under
+    the generators is enough and is verified here.  Passing a profile
+    quotients its annihilated subspace, which is GL-stable because the
+    two actions commute.
     Each generator maps each basis monomial once per call: g p is the sum
     of the images of p's bits.
     """
@@ -532,19 +606,20 @@ def coinvariant_quotient(
     if space.ambient_dim != ambient:
         raise ValueError("subspace not in the right coordinate space")
     basis = degree_basis(rank, degree)
-    # per generator, the coordinates of g . b_E for each basis bit met so far
-    actions = [(_gl_columns(g), {}) for g in gl_generators(rank)]
+    idx = _basis_index(rank, degree)
+    # per generator of gl_generators, the coordinates of g . b_E for each
+    # basis bit met so far
+    actions = [(_rotate, {}), (_shear, {})] if rank > 1 else []
     vecs = []
     for v in space.basis:
-        for cols, images in actions:
+        for image, images in actions:
             w = v
             rest = v
             while rest:
                 low = rest & -rest
                 img = images.get(low)
                 if img is None:
-                    term = basis[low.bit_length() - 1]
-                    img = images[low] = terms_to_coords(rank, degree, _gl_term(cols, term))
+                    img = images[low] = image(basis[low.bit_length() - 1], idx)
                 w ^= img
                 rest ^= low
             if not space.contains(w):

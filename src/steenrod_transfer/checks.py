@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .bv import (
     HElement,
@@ -34,9 +34,7 @@ from .bv import (
     swap_matrix,
 )
 from .cobar import (
-    cell_basis,
     cohomology_dim,
-    differential,
     differential_matrix,
     h_monomials,
     hclass_str,

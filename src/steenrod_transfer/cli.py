@@ -34,7 +34,6 @@ class RunConfig:
     max_rank: int = 4
     max_degree: int = 40
     max_degree_low_rank: int = 600  # applies at rank <= 2
-    oracle_mode: bool = False
 
     def __post_init__(self):
         if self.max_rank <= 0 or self.max_degree <= 0:
@@ -133,7 +132,7 @@ def cmd_annihilated(cfg: RunConfig, args) -> int:
     profile = parse_algebra(args.algebra)
     cfg.check_budget(args.rank, args.degree)
     sub = annihilated_subspace(
-        profile, args.rank, args.degree, exhaustive=args.oracle or cfg.oracle_mode
+        profile, args.rank, args.degree, exhaustive=args.oracle
     )
     elements = [
         HElement.from_coords(args.rank, args.degree, v) for v in sub.basis
@@ -290,12 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None, config: Optional[RunConfig] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config if config is not None else RunConfig()
     try:
-        return args.func(cfg, args)
+        return args.func(RunConfig(), args)
     except BudgetError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return 3

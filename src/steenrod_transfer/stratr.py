@@ -30,7 +30,7 @@ import itertools
 import json
 import re
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 __all__ = [
     "RMonomial",

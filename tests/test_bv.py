@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrod_transfer.bv import (
-    CoinvariantPresentation,
     HElement,
+    _basis_index,
+    _rotate,
+    _shear,
     action_matrix,
     annihilated_subspace,
     basis_dim,
@@ -37,13 +39,19 @@ def eq22_oracle(k, s, t):
     return k - d
 
 
-def reference_coinvariants(space, rank, degree):
+def four_generators(n):
+    """A second generating set of GL(n, 2), independent of gl_generators:
+    the adjacent swaps plus one transvection."""
+    return [swap_matrix(n, i, i + 1) for i in range(n - 1)] + [transvection(n, 0, 1)]
+
+
+def reference_coinvariants(space, rank, degree, gens):
     """(relations, reps) of coinvariant_quotient, with each relation
-    p + g p built element by element through gl_act."""
+    p + g p built element by element through gl_act over gens."""
     vecs = [
         v ^ gl_act(g, HElement.from_coords(rank, degree, v)).to_coords()
         for v in space.basis
-        for g in gl_generators(rank)
+        for g in gens
     ]
     relations = GF2Subspace(space.ambient_dim, vecs)
     return relations, GF2Subspace(space.ambient_dim, [relations.reduce(v) for v in space.basis])
@@ -165,10 +173,10 @@ class TestActionMatrix:
         )
 
 
-    @pytest.mark.parametrize("rank,top", [(1, 64), (2, 32), (3, 20), (4, 14)])
+    @pytest.mark.parametrize("rank,top", [(1, 64), (2, 32), (3, 20), (4, 14), (5, 12)])
     def test_forward_rule_matches_coaction(self, rank, top):
         for d in range(top + 1):
-            for s in range(4):
+            for s in range(5):
                 for t in range(1, 4):
                     op = Pst(s, t)
                     if op.degree <= d:
@@ -330,6 +338,45 @@ class TestGL:
         got = gl_act(sigma, HElement.b(11, 0))
         assert got.terms == {(a, 11 - a) for a in range(12)}
 
+    @pytest.mark.parametrize("n,order", [(2, 6), (3, 168), (4, 20160)])
+    def test_two_generators_generate(self, n, order):
+        # closure of the identity under left multiplication by the
+        # generators; |GL(n, 2)| = prod (2^n - 2^i)
+        assert order == math.prod((1 << n) - (1 << i) for i in range(n))
+        gens = gl_generators(n)
+        assert len(gens) == 2
+
+        def mul(g, h):
+            return tuple(
+                tuple(sum(g[i][k] * h[k][j] for k in range(n)) % 2 for j in range(n))
+                for i in range(n)
+            )
+
+        seen = {identity_matrix(n)}
+        frontier = list(seen)
+        while frontier:
+            frontier = [y for y in {mul(g, x) for x in frontier for g in gens} if y not in seen]
+            seen.update(frontier)
+        assert len(seen) == order
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_closed_forms_match_substitution(self, rank):
+        # coinvariant_quotient's images of each basis monomial, against
+        # the divided power substitution on the same matrices
+        cycle, shear = gl_generators(rank)
+        for d in range(13):
+            idx = _basis_index(rank, d)
+            for term in degree_basis(rank, d):
+                b = HElement(rank, d, {term})
+                assert _rotate(term, idx) == gl_act(cycle, b).to_coords()
+                assert _shear(term, idx) == gl_act(shear, b).to_coords()
+
+    def test_cycle_rotates(self):
+        cycle, _ = gl_generators(3)
+        assert gl_act(cycle, HElement.b(1, 2, 4)) == HElement.b(4, 1, 2)
+        assert gl_generators(2) == (swap_matrix(2, 0, 1), transvection(2, 0, 1))
+        assert gl_generators(1) == ()
+
     @settings(max_examples=25, deadline=None)
     @given(helements(max_rank=2, max_degree=8), st.data())
     def test_group_law(self, x, data):
@@ -383,7 +430,8 @@ class TestCoinvariants:
         for d in degrees:
             space = annihilated_subspace(profile, rank, d)
             pres = coinvariant_quotient(space, rank, d)
-            assert (pres.relations, pres.reps) == reference_coinvariants(space, rank, d)
+            want = reference_coinvariants(space, rank, d, four_generators(rank))
+            assert (pres.relations, pres.reps) == want
 
     def test_class_arithmetic(self):
         sub = annihilated_subspace(Profile.E(2), 2, 11)

@@ -15,7 +15,6 @@ from steenrod_transfer.cobar import (
     h_monomials,
     hclass_str,
     hmono_str,
-    is_cocycle,
     is_primitive,
     word_degree,
     word_of,

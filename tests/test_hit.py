@@ -17,7 +17,6 @@ from steenrod_transfer.bv import (
     basis_dim,
     degree_basis,
 )
-from steenrod_transfer.gf2 import GF2Subspace
 from steenrod_transfer.hit import (
     ParseError,
     PolyElement,

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,7 @@ from steenrod_transfer.milnor import (
     poly_degree,
     xi,
 )
-from steenrod_transfer.transfer import TransferImage, f_star, transfer_chain, transfer_class
+from steenrod_transfer.transfer import f_star, transfer_chain, transfer_class
 
 FULL = Profile.full()
 E1, E2, E3 = Profile.E(1), Profile.E(2), Profile.E(3)
