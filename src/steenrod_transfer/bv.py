@@ -581,11 +581,6 @@ class CoinvariantPresentation:
     def same_class(self, x: HElement, y: HElement) -> bool:
         return self.class_coords(x) == self.class_coords(y)
 
-    def class_reps(self) -> Tuple[HElement, ...]:
-        return tuple(
-            HElement.from_coords(self.rank, self.degree, v) for v in self.reps.basis
-        )
-
 
 def coinvariant_quotient(
     space: Union[GF2Subspace, Profile], rank: int, degree: int

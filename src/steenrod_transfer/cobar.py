@@ -19,6 +19,18 @@ right-hand tuple and cancelled mod 2, and since chi is linear it is then
 applied, with the profile projection, once per surviving left rather
 than once per choice.
 
+The grouped left sums are computed once per orbit of slot products
+under permuting the slots.  A_* is commutative, so chi(a_1' ... a_n')
+does not depend on the slot order, and for a permutation sigma
+
+    d(sigma . P) = (1 | sigma) . d(P):
+
+the same heads over the same right-hand tuples, with the tuples
+permuted.  A product is therefore sorted into a canonical slot order
+(a monomial by itself, a polynomial by its sorted monomials, which no
+hash seed affects), the groups of the sorted product are memoised, and
+each product maps them back by permuting their right-hand tuples.
+
 For the profiles E(m) the cohomology is polynomial on classes h_{t,s}
 with s < m <= t, where h_{t,s} is the class of the one-letter extension
 of [xi_t^{2^s}]; class_of expresses a cocycle in that basis by reducing
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from .gf2 import GF2Matrix, GF2Subspace
@@ -105,21 +118,44 @@ def _reduced_coproduct(slot: Slot, profile: Profile) -> Dict[Xi, Set[Xi]]:
     return {b: lefts for b, lefts in by_right.items() if lefts}
 
 
+class _Lefts:
+    """The left monomials met under one profile, numbered for the group
+    masks, each with chi of it projected to the profile (empty for 1).
+    Entries are only appended, so a memoised mask keeps its meaning."""
+
+    def __init__(self, profile: Profile):
+        self.profile = profile
+        self.index: Dict[Xi, int] = {}
+        self.heads: List[FrozenSet[Xi]] = []
+
+    def bit(self, m: Xi) -> int:
+        i = self.index.get(m)
+        if i is None:
+            i = self.index[m] = len(self.heads)
+            self.heads.append(frozenset() if m == ONE else self.profile.project(antipode(m)))
+        return 1 << i
+
+
+@lru_cache(maxsize=None)
+def _lefts(profile: Profile) -> _Lefts:
+    return _Lefts(profile)
+
+
 def _collect(
     slots: List[Dict[Xi, Set[Xi]]],
     rights: Word,
     left: Iterable[Xi],
-    index: Dict[Xi, int],
+    index: _Lefts,
     groups: Dict[Word, int],
 ) -> None:
     """Walk the coproduct choices of the slots after the first len(rights),
     multiplying their lefts into left mod 2, and XOR the finished left
-    sums into groups[rights] as bitmasks over index."""
+    sums into groups[rights] as masks over the profile's left index."""
     v = len(rights)
     if v == len(slots):
         mask = groups.pop(rights, 0)
         for m in left:
-            mask ^= 1 << index.setdefault(m, len(index))
+            mask ^= index.bit(m)
         if mask:
             groups[rights] = mask
         return
@@ -132,33 +168,56 @@ def _collect(
             _collect(slots, rights + (b,), prod, index, groups)
 
 
+@lru_cache(maxsize=None)
+def _orbit_groups(
+    product: SlotProduct, profile: Profile
+) -> Tuple[Tuple[Word, ...], Tuple[int, ...]]:
+    """The grouped left sums rights -> lefts of one slot product in
+    canonical order, as the right-hand tuples and their masks, shared by
+    every product in its slot-permutation orbit."""
+    slots = [_reduced_coproduct(p, profile) for p in product]
+    groups: Dict[Word, int] = {}
+    if slots and all(slots):
+        _collect(slots, (), (ONE,), _lefts(profile), groups)
+    return tuple(groups), tuple(groups.values())
+
+
+def _slot_key(slot: Slot) -> Tuple[Xi, ...]:
+    """A total order on slots that no hash seed affects: a monomial sorts
+    as itself, a polynomial as its sorted monomials."""
+    return (slot,) if isinstance(slot, tuple) else tuple(sorted(slot))
+
+
 def _differential(products: Iterable[SlotProduct], profile: Profile) -> WordSum:
     """d of a sum of slot products, collecting before the antipode.
 
-    The left products of all choices are summed mod 2 per right-hand
-    tuple, each group a bitmask over an index of left monomials, and a
-    group that cancels is deleted at once; chi and the profile
-    projection then run once per surviving left.
+    Each product is sorted into its orbit's canonical order, whose
+    grouped left sums come from _orbit_groups; their right-hand tuples
+    are permuted back to the product's slot order and XORed into one
+    accumulator, so a group that cancels is deleted at once.  chi and
+    the profile projection then run once per surviving left.
     """
-    index: Dict[Xi, int] = {}
-    groups: Dict[Word, int] = {}
+    lefts = _lefts(profile)
+    acc: Dict[Word, int] = {}
     for product in products:
-        slots = [_reduced_coproduct(p, profile) for p in product]
-        if slots and all(slots):
-            _collect(slots, (), (ONE,), index, groups)
+        identity = list(range(len(product)))
+        order = sorted(identity, key=lambda i: _slot_key(product[i]))
+        rights_of, masks = _orbit_groups(tuple(product[i] for i in order), profile)
+        if order != identity:
+            back = itemgetter(*sorted(identity, key=order.__getitem__))  # order^-1
+            rights_of = map(back, rights_of)
+        for rights, mask in zip(rights_of, masks):
+            mask ^= acc.pop(rights, 0)
+            if mask:
+                acc[rights] = mask
 
-    lefts = list(index)
-    heads_of: Dict[int, FrozenSet[Xi]] = {}
     out: set = set()
-    for rights, mask in groups.items():
-        heads: Set[Xi] = set()
+    for rights, mask in acc.items():
+        heads: FrozenSet[Xi] = frozenset()
         while mask:
             i = (mask & -mask).bit_length() - 1
             mask &= mask - 1
-            if i not in heads_of:
-                left = lefts[i]
-                heads_of[i] = frozenset() if left == ONE else profile.project(antipode(left))
-            heads ^= heads_of[i]
+            heads ^= lefts.heads[i]
         out.update((h,) + rights for h in heads)
     return frozenset(out)
 

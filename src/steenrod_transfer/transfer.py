@@ -14,8 +14,8 @@ image is a cocycle and its class is the value of the transfer.
 The image keeps its slot factors (f_star(e_1) | ... | f_star(e_n)), one
 per surviving term, next to the words.  The cocycle check differentiates
 the factors, so each slot's coproduct is formed and cancelled once per
-term rather than once per word; the words are kept for printing and
-counting.
+orbit of terms under slot permutations rather than once per word; the
+words are kept for printing and counting.
 """
 
 from __future__ import annotations
@@ -40,11 +40,18 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
+def _rank1_memo(profile: Profile) -> Dict[Tuple[int, int], DualPoly]:
+    """(i, rem) -> coefficient of x^rem in the factors from i on; no k
+    enters it, so every f_star of one profile shares it."""
+    return {}
+
+
+@lru_cache(maxsize=None)
 def f_star(k: int, profile: Profile = Profile.full()) -> DualPoly:
     """Rank-1 transfer of b_k, as a polynomial of degree k + 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    memo: Dict[tuple, DualPoly] = {}
+    memo = _rank1_memo(profile)
 
     def rec(i: int, rem: int) -> DualPoly:
         if rem == 0:

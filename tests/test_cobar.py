@@ -195,6 +195,43 @@ class TestGroupedDifferential:
         assert d == differential(img.words, prof) == reference_differential(img.words, prof)
         assert verify_cocycle(img, prof) == (not d)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from(sorted(REFERENCE_PROFILES)), min_size=2, max_size=2, unique=True),
+        st.integers(2, 4),
+        st.booleans(),
+        st.data(),
+    )
+    def test_slot_permutation(self, names, n, from_transfer, data):
+        # d(sigma.P) is d(P) with its right-hand slots permuted by sigma;
+        # the two profiles alternate, so an orbit or left memoised under
+        # one cannot stand in for the other
+        a, b = (REFERENCE_PROFILES[k] for k in names)
+        both = a.meet(b)
+        if from_transfer:
+            degree = data.draw(st.integers(0, (16, 12, 10)[n - 2]))
+            live = [e for e in degree_basis(n, degree) if all(f_star(k, both) for k in e)]
+            if not live:
+                return
+            term = data.draw(st.sampled_from(live))
+            (product,) = transfer_chain(HElement(n, degree, frozenset({term})), both).factors
+            words = frozenset(itertools.product(*product))
+        else:
+            basis = cell_basis(both, n, data.draw(st.integers(n, 14)))
+            if not basis:
+                return
+            product = data.draw(st.sampled_from(basis))
+            words = frozenset({product})
+        sigma = data.draw(st.permutations(range(n)))
+        moved = tuple(product[i] for i in sigma)
+        for prof in (a, b, a, b):
+            want = frozenset(
+                (w[0],) + tuple(w[1 + i] for i in sigma)
+                for w in reference_differential(words, prof)
+            )
+            assert differential(moved, prof) == want
+            assert differential(product, prof) == reference_differential(words, prof)
+
     def test_non_cocycle_image(self):
         # b(1,2,3,8) is not annihilated; its 8-word image is no cocycle
         img = transfer_chain(HElement.b(1, 2, 3, 8), Profile.full())

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from steenrod_transfer.bv import (
     gl_act,
     swap_matrix,
 )
-from steenrod_transfer.cobar import class_of, is_cocycle, wordsum_degree
+from steenrod_transfer.cobar import class_of, differential, is_cocycle, wordsum_degree
 from steenrod_transfer.milnor import (
     Profile,
     frobenius,
@@ -16,7 +17,7 @@ from steenrod_transfer.milnor import (
     poly_degree,
     xi,
 )
-from steenrod_transfer.transfer import f_star, transfer_chain, transfer_class
+from steenrod_transfer.transfer import f_star, transfer_chain, transfer_class, verify_cocycle
 
 FULL = Profile.full()
 E1, E2, E3 = Profile.E(1), Profile.E(2), Profile.E(3)
@@ -42,6 +43,28 @@ def em_nonzero_oracle(k, m):
     return rec(0, k + 1)
 
 
+def expanded_product(profile, top):
+    """prod_i (1 + sum_t x^{2^i(2^t - 1)} xi_t^{2^i}) over the factors
+    with i < h(t), multiplied out below x^{top + 1}: power -> monomials."""
+    coeffs = {0: {()}}
+    i = 0
+    while (1 << i) <= top:
+        new = {p: set(ms) for p, ms in coeffs.items()}
+        t = 1
+        while (w := (1 << i) * ((1 << t) - 1)) <= top:
+            if i < profile(t):
+                for p, ms in coeffs.items():
+                    if p + w <= top:
+                        for m in ms:
+                            new.setdefault(p + w, set()).symmetric_difference_update(
+                                {mono_mul(m, xi(t, 1 << i))}
+                            )
+            t += 1
+        coeffs = new
+        i += 1
+    return coeffs
+
+
 class TestRankOne:
     def test_full_values(self):
         assert f_star(0) == frozenset({xi(1)})
@@ -60,6 +83,12 @@ class TestRankOne:
         assert f_star(20, E2) == frozenset(
             {mono_mul(xi(2, 2), xi(4)), xi(3, 3)}
         )
+
+    @pytest.mark.parametrize("prof", [FULL, E1, E2, Profile.D()], ids=["full", "E1", "E2", "D"])
+    def test_matches_product_expansion(self, prof):
+        coeffs = expanded_product(prof, 41)
+        for k in range(41):
+            assert f_star(k, prof) == frozenset(coeffs.get(k + 1, ()))
 
     @given(st.integers(0, 80), st.sampled_from(["full", "E1", "E2", "D"]))
     def test_degree_homogeneous(self, k, name):
@@ -185,3 +214,16 @@ class TestChain:
             x = HElement.from_coords(2, d, v)
             img = transfer_chain(x, E2)
             assert is_cocycle(img.words, E2)
+
+    def test_rank4_cells_pinned(self):
+        # A r4 d14/15/17: dims, total image words, all images cocycles;
+        # then, with the orbit memo warm, a non-cocycle is still seen
+        for d, dim, words in ((14, 50, 3390), (15, 75, 7920), (17, 87, 6428)):
+            sub = annihilated_subspace(FULL, 4, d)
+            assert sub.dim == dim
+            imgs = [transfer_chain(HElement.from_coords(4, d, v), FULL) for v in sub.basis]
+            assert sum(len(img.words) for img in imgs) == words
+            assert all(verify_cocycle(img, FULL) for img in imgs)
+        img = transfer_chain(HElement.b(1, 2, 3, 8), FULL)
+        assert len(differential(img.factors, FULL)) == 67
+        assert not verify_cocycle(img, FULL)
