@@ -32,7 +32,6 @@ from .bv import (
     right_action,
 )
 from .cobar import (
-    bidegree_report,
     class_of,
     cohomology,
     cohomology_dim,
@@ -66,7 +65,6 @@ __all__ = [
     "annihilated_subspace",
     "antipode",
     "basis_dim",
-    "bidegree_report",
     "chi_sq",
     "class_of",
     "cohomology",

@@ -74,7 +74,6 @@ __all__ = [
     "is_D_annihilated_rank1",
     "kameko_sq0",
     "GLMatrix",
-    "identity_matrix",
     "swap_matrix",
     "transvection",
     "gl_generators",
@@ -439,10 +438,6 @@ def kameko_sq0(x: HElement) -> HElement:
 
 
 # GL(n, 2) -------------------------------------------------------------
-
-
-def identity_matrix(n: int) -> GLMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def swap_matrix(n: int, i: int, j: int) -> GLMatrix:

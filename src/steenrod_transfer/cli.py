@@ -16,39 +16,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .bv import HElement, annihilated_subspace, basis_dim, coinvariant_quotient
+from .bv import HElement, action_matrix, annihilated_subspace, basis_dim, coinvariant_quotient
 from .checks import SUITES, run_suite, suite_report
 from .cobar import class_of, hclass_str
 from .gf2 import BudgetError
 from .milnor import Profile
 from .transfer import transfer_chain, verify_cocycle
 
-__all__ = ["RunConfig", "parse_algebra", "parse_degree_range", "main"]
+__all__ = ["parse_algebra", "parse_degree_range", "main"]
 
 
-@dataclass
-class RunConfig:
-    max_rank: int = 4
-    max_degree: int = 40
-    max_degree_low_rank: int = 600  # applies at rank <= 2
+# budgets checked before a cell is computed
+MAX_RANK = 4
+MAX_DEGREE = 40
+MAX_DEGREE_LOW_RANK = 600  # applies at rank <= 2
 
-    def __post_init__(self):
-        if self.max_rank <= 0 or self.max_degree <= 0:
-            raise ValueError("budgets must be positive")
 
-    def degree_budget(self, rank: int) -> int:
-        return self.max_degree_low_rank if rank <= 2 else self.max_degree
-
-    def check_budget(self, rank: int, degree: int) -> None:
-        if rank > self.max_rank:
-            raise BudgetError(f"rank {rank} exceeds budget {self.max_rank}")
-        if degree > self.degree_budget(rank):
-            raise BudgetError(
-                f"degree {degree} exceeds budget {self.degree_budget(rank)} at rank {rank}"
-            )
+def _check_budget(rank: int, degree: int) -> None:
+    if rank > MAX_RANK:
+        raise BudgetError(f"rank {rank} exceeds budget {MAX_RANK}")
+    max_degree = MAX_DEGREE_LOW_RANK if rank <= 2 else MAX_DEGREE
+    if degree > max_degree:
+        raise BudgetError(f"degree {degree} exceeds budget {max_degree} at rank {rank}")
 
 
 # -- argument parsing ------------------------------------------------------
@@ -128,9 +119,9 @@ def _word_json(word: Tuple) -> dict:
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_annihilated(cfg: RunConfig, args) -> int:
+def cmd_annihilated(args) -> int:
     profile = parse_algebra(args.algebra)
-    cfg.check_budget(args.rank, args.degree)
+    _check_budget(args.rank, args.degree)
     sub = annihilated_subspace(
         profile, args.rank, args.degree, exhaustive=args.oracle
     )
@@ -162,9 +153,9 @@ def cmd_annihilated(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_transfer(cfg: RunConfig, args) -> int:
+def cmd_transfer(args) -> int:
     profile = parse_algebra(args.algebra)
-    cfg.check_budget(args.rank, args.degree)
+    _check_budget(args.rank, args.degree)
     sub = annihilated_subspace(profile, args.rank, args.degree)
     elementary = profile.is_elementary()
     rows = []
@@ -211,7 +202,7 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     if args.format == "json":
         report = suite_report(args.suite)
         print(json.dumps(report, indent=1))
@@ -221,16 +212,18 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 0 if ok else 1
 
 
-def cmd_table(cfg: RunConfig, args) -> int:
+def cmd_table(args) -> int:
     profile = parse_algebra(args.algebra)
     degrees = args.degree_range
     for d in degrees:
-        cfg.check_budget(args.rank, d)
+        _check_budget(args.rank, d)
 
     rows = []
     for d in degrees:
         sub = annihilated_subspace(profile, args.rank, d)
         rows.append(f"{d},{sub.dim},{coinvariant_quotient(sub, args.rank, d).dim}")
+        # no other cell of the sweep uses this degree's matrices
+        action_matrix.cache_clear()
     print("degree,annihilated_dim,coinvariant_dim")
     for row in rows:
         print(row)
@@ -293,7 +286,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(RunConfig(), args)
+        return args.func(args)
     except BudgetError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return 3

@@ -413,21 +413,3 @@ def word_str(w: Word) -> str:
     if not w:
         return "[]"
     return "[" + " | ".join(mono_str(a) for a in w) + "]"
-
-
-def bidegree_report(profile: Profile, length: int, degree: int) -> dict:
-    """JSON-ready summary of one cohomology bidegree.
-
-    For the E(m) the h-monomials are a basis and the entries are labeled
-    by them; for any other profile a monomial count matching the
-    dimension proves nothing, so the entries are representative cocycles
-    written out word by word.
-    """
-    dim, reps = cohomology(profile, length, degree)
-    if profile.is_elementary():
-        hms = h_monomials(profile, length, degree)
-        assert len(hms) == dim
-        basis = [hmono_str(hm) for hm in hms]
-    else:
-        basis = [" + ".join(word_str(w) for w in sorted(ws)) for ws in reps]
-    return {"s": length, "t": degree, "dim": dim, "basis": basis}

@@ -5,9 +5,9 @@ Everything is immutable; operations return new objects.  Subspaces are
 kept in reduced row echelon form so equal subspaces compare equal.
 
 A row's pivot is its lowest set bit, and _eliminate is the one
-elimination routine: _rref (behind rank, row_space, solve and
-GF2Subspace) and common_kernel (behind kernel) both reduce vectors with
-it against a dict of pivot rows keyed by that bit.
+elimination routine: _rref (behind GF2Subspace) and common_kernel
+(behind kernel) both reduce vectors with it against a dict of pivot
+rows keyed by that bit.
 """
 
 from __future__ import annotations
@@ -123,23 +123,6 @@ class GF2Matrix:
     def __repr__(self) -> str:
         return f"GF2Matrix({self.nrows}x{self.ncols})"
 
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls([1 << i for i in range(n)], n)
-
-    @classmethod
-    def vstack(cls, mats: Iterable["GF2Matrix"]) -> "GF2Matrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        ncols = mats[0].ncols
-        rows: List[int] = []
-        for m in mats:
-            if m.ncols != ncols:
-                raise ValueError("column count mismatch in vstack")
-            rows.extend(m.rows)
-        return cls(rows, ncols)
-
     def columns(self) -> List[int]:
         """Column j as a bitset over the rows: the image of basis vector j."""
         cols = [0] * self.ncols
@@ -162,35 +145,14 @@ class GF2Matrix:
                 out |= 1 << i
         return out
 
-    def rank(self) -> int:
-        return len(_rref(self.rows)[0])
-
-    def row_space(self) -> "GF2Subspace":
-        return GF2Subspace(self.ncols, self.rows)
-
     def kernel(self) -> "GF2Subspace":
         """Null space {v : M.mul_vec(v) == 0} as a subspace of F2^ncols."""
         return common_kernel([self], self.ncols)
 
-    def solve(self, target: int) -> Optional[int]:
-        """Solve M x = target for x, or None.  target indexes rows."""
-        if target < 0 or (self.nrows < target.bit_length()):
-            raise ValueError("target outside row range")
-        # eliminate on [M | target] with target carried as an extra column
-        aug = [r | ((target >> i & 1) << self.ncols) for i, r in enumerate(self.rows)]
-        rows, pivots = _rref(aug)
-        x = 0
-        for r, p in zip(rows, pivots):
-            if p == self.ncols:
-                return None  # inconsistent
-            if r >> self.ncols & 1:
-                x |= 1 << p
-        return x
-
 
 def common_kernel(mats: Iterable[GF2Matrix], ncols: int) -> "GF2Subspace":
-    """{v : M.mul_vec(v) == 0 for every M}, the same subspace as
-    GF2Matrix.vstack(mats).kernel(), one matrix at a time.
+    """{v : M.mul_vec(v) == 0 for every M}, the kernel of the matrices'
+    rows stacked into one, computed one matrix at a time.
 
     The current kernel basis is pushed through the next matrix through
     its columns; each image, with its source vector carried above bit

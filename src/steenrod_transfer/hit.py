@@ -42,9 +42,7 @@ __all__ = [
     "is_hit",
     "chi_sq",
     "apply_op",
-    "chi_trick_check",
     "peterson_wood",
-    "transpose_slots",
     "ParseError",
     "parse_terms",
     "parse_poly",
@@ -210,12 +208,6 @@ def apply_op(compositions: Iterable[Tuple[int, ...]], p: PolyElement) -> PolyEle
     return total
 
 
-def chi_trick_check(u: PolyElement, v: PolyElement, k: int) -> bool:
-    """Whether u Sq^k(v) + chi(Sq^k)(u) v is hit, as it always should be."""
-    w = u * sq(k, v) ^ apply_op(chi_sq(k), u) * v
-    return decomposables(w.rank, w.degree).contains(w.to_coords())
-
-
 def peterson_wood(mono: Monomial) -> bool:
     """The spike-avoidance criterion: a monomial of degree d with r odd
     exponents is hit whenever alpha(d + r) > r."""
@@ -229,15 +221,6 @@ def peterson_wood(mono: Monomial) -> bool:
 
 class ParseError(ValueError):
     pass
-
-
-def transpose_slots(p: PolyElement, i: int, j: int) -> PolyElement:
-    """Swap variables i and j (1-indexed) in every term."""
-    if not (1 <= i <= p.rank and 1 <= j <= p.rank):
-        raise ValueError("slot out of range")
-    return PolyElement(
-        p.rank, p.degree, frozenset(_swapped(t, i - 1, j - 1) for t in p.terms)
-    )
 
 
 def _swapped(t: Monomial, i: int, j: int) -> Monomial:

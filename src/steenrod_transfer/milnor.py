@@ -29,7 +29,6 @@ __all__ = [
     "ZERO",
     "xi",
     "mono_degree",
-    "poly_degree",
     "mono_mul",
     "poly_add",
     "poly_mul",
@@ -41,7 +40,6 @@ __all__ = [
     "generators",
     "dual_basis",
     "mono_str",
-    "poly_str",
 ]
 
 Xi = Tuple[Tuple[int, int], ...]
@@ -60,16 +58,6 @@ def xi(t: int, e: int = 1) -> Xi:
 
 def mono_degree(m: Xi) -> int:
     return sum(e * (2**t - 1) for t, e in m)
-
-
-def poly_degree(p: DualPoly) -> Optional[int]:
-    """Common degree of a homogeneous polynomial; None for the zero one."""
-    degs = {mono_degree(m) for m in p}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
-    return degs.pop()
 
 
 def mono_mul(a: Xi, b: Xi) -> Xi:
@@ -206,10 +194,6 @@ class Pst(NamedTuple):
     @property
     def dual(self) -> Xi:
         return xi(self.t, 1 << self.s)
-
-    @property
-    def label(self) -> str:
-        return f"P_{self.t}^{self.s}"
 
 
 @dataclass(frozen=True)
@@ -393,9 +377,3 @@ def mono_str(m: Xi) -> str:
     if not m:
         return "1"
     return " ".join(f"xi{t}^{e}" if e > 1 else f"xi{t}" for t, e in m)
-
-
-def poly_str(p: DualPoly) -> str:
-    if not p:
-        return "0"
-    return " + ".join(mono_str(m) for m in sorted(p))

@@ -27,7 +27,6 @@ suffices because the 2-power squares generate.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from collections import Counter
 from typing import FrozenSet, Iterable, List, Set, Tuple
@@ -40,13 +39,9 @@ __all__ = [
     "r_degree",
     "r_multiply",
     "sq_2k",
-    "sq0_tilde",
     "is_invariant",
     "same_s_excluded",
-    "r_text",
     "parse_r_text",
-    "r_json",
-    "parse_r_json",
 ]
 
 # a product of h_{t,s}, as (t, s) pairs sorted descending; () is 1
@@ -167,18 +162,6 @@ def sq_2k(k: int, z: RElement) -> RElement:
     return _sq_any(1 << k, z)
 
 
-def sq0_tilde(z: RElement) -> RElement:
-    """The shift h_{t,s} -> h_{t,s+1}, zero once s + 1 hits t."""
-    acc: Set[RMonomial] = set()
-    for mono in z:
-        if any(s + 1 >= t for t, s in mono):
-            continue
-        m = _canonical((t, s + 1) for t, s in mono)
-        if not _killed(m):
-            acc ^= {m}
-    return frozenset(acc)
-
-
 def is_invariant(z: RElement, k_max: int) -> bool:
     """Annihilation by Sq^{2^k} for 0 <= k <= k_max.
 
@@ -202,23 +185,7 @@ def same_s_excluded(z: RElement, m: int) -> bool:
     return False
 
 
-# text and json forms --------------------------------------------------
-
-
-def r_text(z: RElement) -> str:
-    if not z:
-        return "0"
-    parts = []
-    for mono in sorted(z, reverse=True):
-        if not mono:
-            parts.append("1")
-            continue
-        factors = []
-        for (t, s), grp in itertools.groupby(mono):
-            e = len(list(grp))
-            factors.append(f"h[{t},{s}]" + (f"^{e}" if e > 1 else ""))
-        parts.append(" * ".join(factors))
-    return " + ".join(parts)
+# text form ------------------------------------------------------------
 
 
 def parse_r_text(text: str) -> RElement:
@@ -242,18 +209,3 @@ def parse_r_text(text: str) -> RElement:
         if not _killed(mono):
             acc ^= {mono}
     return frozenset(acc)
-
-
-def r_json(z: RElement) -> str:
-    terms = [
-        [[t, s, len(list(grp))] for (t, s), grp in itertools.groupby(mono)]
-        for mono in sorted(z, reverse=True)
-    ]
-    return json.dumps(terms)
-
-
-def parse_r_json(text: str) -> RElement:
-    data = json.loads(text)
-    return r_element(
-        [(t, s) for t, s, e in term for _ in range(e)] for term in data
-    )

@@ -2,12 +2,8 @@ import json
 
 import pytest
 
-from steenrod_transfer.cli import (
-    RunConfig,
-    main,
-    parse_algebra,
-    parse_degree_range,
-)
+from steenrod_transfer.bv import action_matrix
+from steenrod_transfer.cli import main, parse_algebra, parse_degree_range
 from steenrod_transfer.milnor import Profile
 
 
@@ -135,6 +131,13 @@ class TestTable:
         nonzero = [int(l.split(",")[0]) for l in lines[1:] if l.split(",")[1] != "0"]
         assert nonzero == [1, 3, 5, 7, 11]
 
+    def test_releases_action_matrices(self, capsys):
+        # no cell of a table reuses another degree's matrices
+        rc = main(["table", "--algebra", "A", "--rank", "3", "--degree-range", "1..9"])
+        capsys.readouterr()
+        assert rc == 0
+        assert action_matrix.cache_info().currsize == 0
+
 
 class TestBadArguments:
     @pytest.mark.parametrize(
@@ -210,7 +213,3 @@ class TestBudgetsAndCache:
             assert main(argv) == 0
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(max_rank=0)

@@ -16,6 +16,8 @@ from steenrod_transfer.gf2 import (
 )
 from steenrod_transfer.milnor import Profile
 
+from gf2_reference import reference_kernel, reference_rref
+
 
 def span(vectors, ncols):
     """All linear combinations, by brute force.  Oracle for small cases."""
@@ -32,59 +34,6 @@ def bits(s):
 
 def random_matrix(rng, nrows, ncols):
     return GF2Matrix([rng.getrandbits(ncols) for _ in range(nrows)], ncols)
-
-
-# -- references: the column-scan elimination the lowest-bit routine replaced --
-
-
-def reference_rref(rows, ncols):
-    """RREF by scanning columns in order.  Returns (nonzero rows, pivots)."""
-    work = [r for r in rows if r]
-    out = []
-    pivots = []
-    for col in range(ncols):
-        bit = 1 << col
-        hit = -1
-        for i, r in enumerate(work):
-            if r & bit:
-                hit = i
-                break
-        if hit < 0:
-            continue
-        piv = work.pop(hit)
-        work = [r ^ piv if r & bit else r for r in work]
-        work = [r for r in work if r]
-        out = [r ^ piv if r & bit else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-        if not work:
-            break
-    return out, pivots
-
-
-def reference_kernel(rows, ncols):
-    """Null space from the free columns of the RREF, itself put in RREF."""
-    rref, pivots = reference_rref(rows, ncols)
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        v = 1 << free
-        for r, p in zip(rref, pivots):
-            if r >> free & 1:
-                v |= 1 << p
-        basis.append(v)
-    return reference_rref(basis, ncols)[0]
-
-
-def reference_solve(rows, ncols, target):
-    """x with M x = target read off the RREF of [M | target], or None."""
-    aug = [r | (target >> i & 1) << ncols for i, r in enumerate(rows)]
-    x = 0
-    for r, p in zip(*reference_rref(aug, ncols + 1)):
-        if p == ncols:
-            return None
-        if r >> ncols & 1:
-            x |= 1 << p
-    return x
 
 
 @st.composite
@@ -115,14 +64,6 @@ class TestAgainstColumnScan:
         rows, ncols = case
         assert GF2Matrix(rows, ncols).kernel().basis == tuple(reference_kernel(rows, ncols))
 
-    @given(bit_rows(), st.data())
-    def test_solve(self, case, data):
-        rows, ncols = case
-        if not rows:
-            return
-        target = data.draw(st.integers(0, 2 ** len(rows) - 1))
-        assert GF2Matrix(rows, ncols).solve(target) == reference_solve(rows, ncols, target)
-
     def test_back_reduction_needed(self):
         # echelon form alone would leave bit 1 in the first row
         assert _rref([0b011, 0b010]) == ([0b001, 0b010], [0, 1])
@@ -149,51 +90,49 @@ class TestAgainstColumnScan:
 class TestRank:
     def test_small_oracle(self):
         vecs = [bits("110"), bits("011"), bits("101")]
-        m = GF2Matrix(vecs, 3)
         # 101 = 110 + 011, so the span has 4 elements
         assert len(span(vecs, 3)) == 4
-        assert m.rank() == 2
+        assert GF2Subspace(3, vecs).dim == 2
 
     def test_identity(self):
-        assert GF2Matrix.identity(17).rank() == 17
+        assert GF2Subspace(17, [1 << i for i in range(17)]).dim == 17
 
     def test_zero(self):
-        assert GF2Matrix([0, 0, 0], 5).rank() == 0
+        assert GF2Subspace(5, [0, 0, 0]).dim == 0
 
     @given(st.lists(st.integers(0, 2**6 - 1), max_size=6))
     def test_rank_equals_log2_span(self, rows):
-        m = GF2Matrix(rows, 6)
-        assert 2 ** m.rank() == len(span(rows, 6))
+        assert 2 ** GF2Subspace(6, rows).dim == len(span(rows, 6))
 
     @given(st.lists(st.integers(0, 2**8 - 1), min_size=1, max_size=12))
     def test_rank_transpose(self, rows):
         m = GF2Matrix(rows, 8)
-        assert m.rank() == m.transpose().rank()
+        assert GF2Subspace(8, m.rows).dim == GF2Subspace(m.nrows, m.transpose().rows).dim
 
 
 class TestRowSpace:
     def test_canonical(self):
-        a = GF2Matrix([bits("110"), bits("011")], 3).row_space()
-        b = GF2Matrix([bits("101"), bits("011"), bits("110")], 3).row_space()
+        a = GF2Subspace(3, [bits("110"), bits("011")])
+        b = GF2Subspace(3, [bits("101"), bits("011"), bits("110")])
         assert a == b
         assert a.dim == 2
 
     @given(st.lists(st.integers(0, 2**7 - 1), max_size=8))
     def test_membership_matches_enumeration(self, rows):
-        sub = GF2Matrix(rows, 7).row_space()
+        sub = GF2Subspace(7, rows)
         full = span(rows, 7)
         for v in range(2**7):
             assert sub.contains(v) == (v in full)
 
     @given(st.lists(st.integers(0, 2**6 - 1), max_size=6), st.integers(0, 2**6 - 1))
     def test_reduce_is_coset_invariant(self, rows, v):
-        sub = GF2Matrix(rows, 6).row_space()
+        sub = GF2Subspace(6, rows)
         for b in sub.basis:
             assert sub.reduce(v ^ b) == sub.reduce(v)
         assert sub.contains(v ^ sub.reduce(v))
 
     def test_coords_roundtrip(self):
-        sub = GF2Matrix([bits("1100"), bits("0110"), bits("0011")], 4).row_space()
+        sub = GF2Subspace(4, [bits("1100"), bits("0110"), bits("0011")])
         for v in range(16):
             c = sub.coords(v)
             if c is None:
@@ -219,61 +158,27 @@ class TestKernel:
         ker = m.kernel()
         expected = {v for v in range(2**6) if m.mul_vec(v) == 0}
         assert {v for v in range(2**6) if ker.contains(v)} == expected
-        assert ker.dim == 6 - m.rank()
+        assert ker.dim == 6 - GF2Subspace(6, rows).dim
 
 
 class TestCommonKernel:
     @given(st.lists(st.lists(st.integers(0, 2**7 - 1), max_size=5), max_size=4))
     def test_matches_stacked_kernel(self, blocks):
         mats = [GF2Matrix(rows, 7) for rows in blocks]
-        got = common_kernel(mats, 7)
-        stacked = [m for m in mats if m.nrows]
-        if stacked:
-            assert got == GF2Matrix.vstack(stacked).kernel()
-        else:
-            assert got == GF2Matrix.identity(7).row_space()
+        stacked = [r for rows in blocks for r in rows]
+        assert common_kernel(mats, 7).basis == tuple(reference_kernel(stacked, 7))
 
     def test_seeded_large(self):
         rng = random.Random(5)
         mats = [random_matrix(rng, n, 120) for n in (30, 0, 45, 20)]
-        stacked = GF2Matrix.vstack([m for m in mats if m.nrows])
-        assert common_kernel(mats, 120) == stacked.kernel()
-        assert common_kernel(mats, 120).dim == 120 - stacked.rank()
+        stacked = [r for m in mats for r in m.rows]
+        got = common_kernel(mats, 120)
+        assert got.basis == tuple(reference_kernel(stacked, 120))
+        assert got.dim == 120 - len(reference_rref(stacked, 120)[0])
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             common_kernel([GF2Matrix([1], 3), GF2Matrix([1], 4)], 3)
-
-
-class TestSolve:
-    def test_column_combination(self):
-        # columns 110 and 011; their sum is 101
-        m = GF2Matrix([bits("110"), bits("011")], 3).transpose()
-        assert m.nrows == 3 and m.ncols == 2
-        x = m.solve(bits("101"))
-        assert x == 0b11
-        assert m.mul_vec(x) == bits("101")
-
-    def test_inconsistent(self):
-        m = GF2Matrix([0b01, 0b01], 2)
-        assert m.solve(0b01) is None
-
-    @given(st.lists(st.integers(0, 2**5 - 1), min_size=1, max_size=7), st.data())
-    def test_solve_finds_known_solution(self, rows, data):
-        m = GF2Matrix(rows, 5)
-        x0 = data.draw(st.integers(0, 2**5 - 1))
-        target = m.mul_vec(x0)
-        x = m.solve(target)
-        assert x is not None
-        assert m.mul_vec(x) == target
-
-    def test_seeded_large(self):
-        rng = random.Random(20260814)
-        m = random_matrix(rng, 200, 200)
-        x0 = rng.getrandbits(200)
-        x = m.solve(m.mul_vec(x0))
-        assert x is not None and m.mul_vec(x) == m.mul_vec(x0)
-        assert m.rank() + m.kernel().dim == 200
 
 
 class TestTranspose:
@@ -300,10 +205,3 @@ class TestBudget:
         finally:
             set_bit_budget(old)
         assert bit_budget() == old
-
-    def test_vstack(self):
-        a = GF2Matrix([1, 2], 3)
-        b = GF2Matrix([4], 3)
-        assert GF2Matrix.vstack([a, b]).rows == (1, 2, 4)
-        with pytest.raises(ValueError):
-            GF2Matrix.vstack([a, GF2Matrix([1], 2)])

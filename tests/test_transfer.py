@@ -10,37 +10,11 @@ from steenrod_transfer.bv import (
     swap_matrix,
 )
 from steenrod_transfer.cobar import class_of, differential, is_cocycle, wordsum_degree
-from steenrod_transfer.milnor import (
-    Profile,
-    frobenius,
-    mono_mul,
-    poly_degree,
-    xi,
-)
+from steenrod_transfer.milnor import Profile, frobenius, mono_degree, mono_mul, xi
 from steenrod_transfer.transfer import f_star, transfer_chain, transfer_class, verify_cocycle
 
 FULL = Profile.full()
 E1, E2, E3 = Profile.E(1), Profile.E(2), Profile.E(3)
-
-
-def em_nonzero_oracle(k, m):
-    """Whether k+1 is a sum 2^{s_i}(2^{t_i}-1) with distinct s_i < m <= t_i."""
-
-    def rec(s, rem):
-        if rem == 0:
-            return True
-        if s >= m:
-            return False
-        if rec(s + 1, rem):
-            return True
-        t = m
-        while (1 << s) * ((1 << t) - 1) <= rem:
-            if rec(s + 1, rem - (1 << s) * ((1 << t) - 1)):
-                return True
-            t += 1
-        return False
-
-    return rec(0, k + 1)
 
 
 def expanded_product(profile, top):
@@ -95,7 +69,7 @@ class TestRankOne:
         prof = {"full": FULL, "E1": E1, "E2": E2, "D": Profile.D()}[name]
         p = f_star(k, prof)
         if p:
-            assert poly_degree(p) == k + 1
+            assert {mono_degree(m) for m in p} == {k + 1}
 
     @given(st.integers(0, 40), st.sampled_from(["full", "E2", "D"]))
     def test_frobenius_on_odd(self, k, name):
@@ -112,10 +86,6 @@ class TestRankOne:
     def test_projection_compatible(self, k, m):
         prof = Profile.E(m)
         assert f_star(k, prof) == prof.project(f_star(k))
-
-    @given(st.integers(0, 70), st.integers(1, 3))
-    def test_em_support_oracle(self, k, m):
-        assert bool(f_star(k, Profile.E(m))) == em_nonzero_oracle(k, m)
 
     @given(st.integers(0, 40))
     def test_e1_support(self, k):
