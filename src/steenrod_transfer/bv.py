@@ -26,6 +26,9 @@ digits of the exponents to the xi_t.  That route is independent of the
 forward rule, and passing Pst.dual instead of the Pst selects it: it is
 the oracle for the exhaustive annihilator and the cross-checks.
 
+annihilated_subspace reduces full-algebra cells by Wood's vanishing and
+Kameko's doubling, then intersects generator kernels from ker Sq^1.
+
 The general linear group acts by divided power substitution: for g in
 GL(n, 2) the generator a_j goes to sum_i g[i][j] a_i (column convention),
 expanded with gamma_k(u + v) = sum gamma_i(u) gamma_j(v) and the product
@@ -383,21 +386,73 @@ def annihilated_subspace(
 ) -> GF2Subspace:
     """Elements of H_degree(BV_rank) killed by the profile's algebra.
 
-    Default uses the P_t^s of the profile; exhaustive=True runs every
-    Milnor basis element of positive degree instead, which is the
-    definition and serves as a cross-check on small windows.  The
-    kernels of the operations' matrices are intersected one at a time
-    (common_kernel).  matrix swaps in another action-matrix source, e.g.
-    a timed wrapper.
+    exhaustive=True intersects the kernels (common_kernel) of every Milnor
+    basis element of positive degree: the definition, and the reference.
+    The default reduces the cell first (_annihilated) and then uses the
+    P_t^s of the profile.  matrix swaps in another action-matrix source,
+    e.g. a timed wrapper.
     """
-    ops: List[Operation]
+    make = matrix if matrix is not None else action_matrix
     if exhaustive:
         ops = [m for d in range(1, degree + 1) for m in dual_basis(profile, d)]
-    else:
-        ops = list(generators(profile, degree))
+        return common_kernel((make(op, rank, degree) for op in ops), basis_dim(rank, degree))
+    return _annihilated(profile, rank, degree, make)
+
+
+def _annihilated(
+    profile: Profile, rank: int, degree: int, make: Callable[[Operation, int, int], GF2Matrix]
+) -> GF2Subspace:
+    """The default route of annihilated_subspace, with make resolved.
+
+    Over the full algebra, with mu(d) the least number of terms 2^k - 1
+    summing to d (mu(d) <= n exactly when alpha(d + n) <= n, alpha
+    counting binary digits):
+    - mu(degree) > rank: the subspace is 0 (Wood 1989, dual form);
+    - mu(degree) == rank and degree = 2h + rank with h > 0: doubling
+      (kameko_sq0) is an isomorphism from degree h (Kameko 1990).
+    Otherwise the kernels of the generators are intersected, starting
+    from the closed-form basis of ker Sq^1 (_sq1_kernel) when Sq^1 is one
+    of them.
+    """
     dim = basis_dim(rank, degree)
-    make = matrix if matrix is not None else action_matrix
-    return common_kernel((make(op, rank, degree) for op in ops), dim)
+    if profile.is_full():
+        if (degree + rank).bit_count() > rank:  # mu(degree) > rank
+            return GF2Subspace(dim, ())
+        half, odd = divmod(degree - rank, 2)
+        # mu(degree) == rank: not above rank, and above rank - 1
+        if half > 0 and not odd and (degree + rank - 1).bit_count() >= rank:
+            low = _annihilated(profile, rank, half, make)
+            doubled = (kameko_sq0(HElement.from_coords(rank, half, v)) for v in low.basis)
+            return GF2Subspace(dim, (x.to_coords() for x in doubled))
+    ops = generators(profile, degree)
+    start = None
+    if ops[:1] == (Pst(0, 1),):
+        ops, start = ops[1:], _sq1_kernel(rank, degree)
+    return common_kernel((make(op, rank, degree) for op in ops), dim, start)
+
+
+def _sq1_kernel(rank: int, degree: int) -> List[int]:
+    """A basis of ker Sq^1 on H_degree(BV_rank), for degree >= 1.
+
+    b_F . Sq^1 is the sum of b_{F - e_v} over the v with F_v even and
+    positive, a differential that is acyclic above degree 0.  Matching F,
+    where its first nonzero exponent is even, with F minus 1 there is a
+    discrete Morse matching, so the b_F . Sq^1 for those F of degree + 1
+    are a basis of the image, which is the kernel; each has at most rank
+    terms.
+    """
+    idx = _basis_index(rank, degree)
+    out = []
+    for f in degree_basis(rank, degree + 1):
+        first = next(v for v, e in enumerate(f) if e)
+        if f[first] & 1:
+            continue
+        w = 0
+        for v in range(first, rank):
+            if f[v] and not f[v] & 1:
+                w |= 1 << idx[f[:v] + (f[v] - 1,) + f[v + 1 :]]
+        out.append(w)
+    return out
 
 
 # rank-1 arithmetic ----------------------------------------------------

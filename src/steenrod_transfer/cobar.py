@@ -59,7 +59,6 @@ from .milnor import (
     dual_basis,
     mono_degree,
     mono_mul,
-    mono_str,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "class_of",
     "hmono_str",
     "hclass_str",
-    "word_str",
 ]
 
 Word = Tuple[Xi, ...]
@@ -407,9 +405,3 @@ def hclass_str(c: FrozenSet[HMono]) -> str:
     if not c:
         return "0"
     return " + ".join(hmono_str(hm) for hm in sorted(c))
-
-
-def word_str(w: Word) -> str:
-    if not w:
-        return "[]"
-    return "[" + " | ".join(mono_str(a) for a in w) + "]"

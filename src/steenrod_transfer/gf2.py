@@ -19,7 +19,6 @@ __all__ = [
     "GF2Subspace",
     "common_kernel",
     "BudgetError",
-    "bit_budget",
     "set_bit_budget",
 ]
 
@@ -30,10 +29,6 @@ _BIT_BUDGET = 1 << 26
 
 class BudgetError(Exception):
     """A requested object exceeds the configured size budget."""
-
-
-def bit_budget() -> int:
-    return _BIT_BUDGET
 
 
 def set_bit_budget(bits: int) -> int:
@@ -150,17 +145,20 @@ class GF2Matrix:
         return common_kernel([self], self.ncols)
 
 
-def common_kernel(mats: Iterable[GF2Matrix], ncols: int) -> "GF2Subspace":
-    """{v : M.mul_vec(v) == 0 for every M}, the kernel of the matrices'
-    rows stacked into one, computed one matrix at a time.
+def common_kernel(
+    mats: Iterable[GF2Matrix], ncols: int, start: Optional[Iterable[int]] = None
+) -> "GF2Subspace":
+    """{v in start : M.mul_vec(v) == 0 for every M}, the kernel of the
+    matrices' rows stacked into one, computed one matrix at a time.
 
-    The current kernel basis is pushed through the next matrix through
-    its columns; each image, with its source vector carried above bit
-    nrows, is eliminated until its image bits are zero or it becomes a
-    pivot.  The source parts of the vectors whose image cancels span the
-    next kernel.
+    start is a basis of the subspace to begin from, all of F2^ncols by
+    default.  The current kernel basis is pushed through the next matrix
+    through its columns; each image, with its source vector carried above
+    bit nrows, is eliminated until its image bits are zero or it becomes
+    a pivot.  The source parts of the vectors whose image cancels span
+    the next kernel.
     """
-    basis = [1 << j for j in range(ncols)]
+    basis = [1 << j for j in range(ncols)] if start is None else list(start)
     for mat in mats:
         if mat.ncols != ncols:
             raise ValueError("column count mismatch")

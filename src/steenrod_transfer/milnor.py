@@ -17,6 +17,7 @@ they are closed under pointwise minimum.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -325,8 +326,17 @@ def generators(profile: Profile, max_degree: int) -> Tuple[Pst, ...]:
     generate the algebra.  For the full algebra the list is reduced to
     t = 1, the Sq^{2^s}, which already generate; every other profile
     keeps all its P_t^s since no smaller generating set is available in
-    general.
+    general.  The answer is a prefix of the cached list for the degrees
+    below the next power of two, which is sorted by degree.
     """
+    ops, degrees = _generators_below(profile, max_degree.bit_length())
+    return ops[: bisect.bisect_right(degrees, max_degree)]
+
+
+@lru_cache(maxsize=None)
+def _generators_below(profile: Profile, bits: int) -> Tuple[Tuple[Pst, ...], Tuple[int, ...]]:
+    """generators(profile, 2^bits - 1) and their degrees."""
+    max_degree = (1 << bits) - 1
     t_cap = 1 if profile.is_full() else None
     out = []
     t = 1
@@ -339,7 +349,7 @@ def generators(profile: Profile, max_degree: int) -> Tuple[Pst, ...]:
             s += 1
         t += 1
     out.sort(key=lambda op: (op.degree, op.t, op.s))
-    return tuple(out)
+    return tuple(out), tuple(op.degree for op in out)
 
 
 @lru_cache(maxsize=None)

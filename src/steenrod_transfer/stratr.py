@@ -35,9 +35,6 @@ __all__ = [
     "RMonomial",
     "RElement",
     "r_mono",
-    "r_element",
-    "r_degree",
-    "r_multiply",
     "sq_2k",
     "is_invariant",
     "same_s_excluded",
@@ -71,30 +68,6 @@ def r_mono(*pairs: Tuple[int, int]) -> RElement:
     """A single monomial, or zero if the relation kills it."""
     m = _canonical(pairs)
     return R_ZERO if _killed(m) else frozenset({m})
-
-
-def r_element(monos: Iterable[Iterable[Tuple[int, int]]]) -> RElement:
-    acc: Set[RMonomial] = set()
-    for pairs in monos:
-        m = _canonical(pairs)
-        if not _killed(m):
-            acc ^= {m}
-    return frozenset(acc)
-
-
-def r_degree(mono: RMonomial) -> Tuple[int, int]:
-    """(homological length, internal degree)."""
-    return len(mono), sum((1 << s) * ((1 << t) - 1) for t, s in mono)
-
-
-def r_multiply(a: RElement, b: RElement) -> RElement:
-    acc: Set[RMonomial] = set()
-    for u in a:
-        for v in b:
-            m = _canonical(u + v)
-            if not _killed(m):
-                acc ^= {m}
-    return frozenset(acc)
 
 
 def _submasks(e: int):

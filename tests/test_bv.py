@@ -9,6 +9,7 @@ from steenrod_transfer.bv import (
     _basis_index,
     _rotate,
     _shear,
+    _sq1_kernel,
     action_matrix,
     annihilated_subspace,
     basis_dim,
@@ -23,7 +24,7 @@ from steenrod_transfer.bv import (
     swap_matrix,
     transvection,
 )
-from steenrod_transfer.gf2 import GF2Subspace
+from steenrod_transfer.gf2 import GF2Subspace, common_kernel
 from steenrod_transfer.milnor import Profile, Pst, generators, xi
 
 from gf2_reference import reference_kernel
@@ -256,6 +257,65 @@ class TestAnnihilated:
                                 ),
                             )
                             assert target.contains(xy.to_coords())
+
+
+def direct_annihilated(profile, rank, degree):
+    """The route without reductions: every generator's kernel, from all of
+    H_degree."""
+    mats = (action_matrix(op, rank, degree) for op in generators(profile, degree))
+    return common_kernel(mats, basis_dim(rank, degree))
+
+
+class TestReductions:
+    # (rank, largest degree) with ambient dimension at most 1,001
+    SQ1_CELLS = {1: 60, 2: 40, 3: 20, 4: 12, 5: 10}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_morse_basis_spans_ker_sq1(self, data):
+        rank = data.draw(st.integers(1, 5), label="rank")
+        d = data.draw(st.integers(1, self.SQ1_CELLS[rank]), label="degree")
+        dim = basis_dim(rank, d)
+        vecs = _sq1_kernel(rank, d)
+        assert all(0 < v.bit_count() <= rank for v in vecs)
+        span = GF2Subspace(dim, vecs)
+        assert span.dim == len(vecs)  # independent
+        want = reference_kernel(action_matrix(Pst(0, 1), rank, d).rows, dim)
+        assert span.basis == tuple(want)
+
+    @pytest.mark.parametrize(
+        "rank, degrees",
+        [(1, range(201)), (2, range(61)), (3, range(31)), (4, range(29))],
+        ids=["r1", "r2", "r3", "r4"],
+    )
+    def test_reduced_matches_direct(self, rank, degrees):
+        # r4 d27 is the Wood cell (mu = 5); r4 d20, d24 and d28 are Kameko cells
+        full = Profile.full()
+        for d in degrees:
+            reduced = annihilated_subspace(full, rank, d)
+            direct = direct_annihilated(full, rank, d)
+            assert reduced == direct, d
+            assert coinvariant_quotient(reduced, rank, d).dim == coinvariant_quotient(direct, rank, d).dim
+
+    def test_reductions_skip_matrices(self):
+        full = Profile.full()
+        calls = []
+
+        def record(op, rank, degree):
+            calls.append((op, degree))
+            return action_matrix(op, rank, degree)
+
+        # Wood: mu(27) = 5 > 4, so no matrix at all
+        assert annihilated_subspace(full, 4, 27, matrix=record).dim == 0
+        assert calls == []
+        # Kameko: 20 = 2 * 8 + 4 with mu(20) = 4, so only degree-8 matrices
+        annihilated_subspace(full, 4, 20, matrix=record)
+        assert {d for _, d in calls} == {8}
+        # ker Sq^1 is in closed form: its matrix is never built
+        calls.clear()
+        for prof in (full, Profile.E(1), Profile.D()):
+            annihilated_subspace(prof, 3, 11, matrix=record)
+        assert calls and Pst(0, 1) not in {op for op, _ in calls}
 
 
 class TestKappaRho:

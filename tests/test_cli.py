@@ -65,14 +65,15 @@ class TestAnnihilated:
         assert len(data["basis"]) == 4
 
     def test_oracle_route_agrees(self, capsys):
-        outs = []
-        for extra in ([], ["--oracle"]):
-            main(
-                ["annihilated", "--algebra", "A", "--rank", "2", "--degree", "8",
-                 "--format", "csv"] + extra
-            )
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+        # the default reduces these cells: Kameko doubling at r2 d8 and d10
+        # and r3 d9, Wood vanishing at r2 d5; --oracle bypasses both
+        for rank, degree in ((2, 8), (2, 10), (2, 5), (3, 9)):
+            outs = []
+            for extra in ([], ["--oracle"]):
+                argv = ["annihilated", "--algebra", "A", "--rank", str(rank), "--degree", str(degree)]
+                assert main(argv + ["--format", "csv"] + extra) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
 
     def test_empty_kernel(self, capsys):
         rc = main(["annihilated", "--algebra", "A", "--rank", "1", "--degree", "6"])
@@ -137,6 +138,12 @@ class TestTable:
         capsys.readouterr()
         assert rc == 0
         assert action_matrix.cache_info().currsize == 0
+
+    def test_rank4_kameko_cells_within_budget(self, capsys):
+        # doubling from degrees 16 and 18; the direct Sq^2 matrices are over budget
+        for d, row in ((36, "36,73,0"), (40, "40,126,2")):
+            assert main(["table", "--algebra", "A", "--rank", "4", "--degree-range", f"{d}..{d}"]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == row
 
 
 class TestBadArguments:

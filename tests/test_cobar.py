@@ -17,7 +17,6 @@ from steenrod_transfer.cobar import (
     is_primitive,
     word_degree,
     word_of,
-    word_str,
     wordsum_degree,
 )
 from steenrod_transfer.bv import HElement, degree_basis
@@ -441,9 +440,6 @@ class TestDisplay:
 
     def test_hclass_str(self):
         assert hclass_str(frozenset()) == "0"
-
-    def test_word_str(self):
-        assert word_str((xi(3), xi(2, 2))) == "[xi3 | xi2^2]"
 
     def test_matrix_shapes(self):
         m = differential_matrix(Profile.E(2), 1, 9)

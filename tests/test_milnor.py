@@ -289,6 +289,15 @@ class TestGenerators:
         assert {(op.s, op.t) for op in ops} == {(0, 2), (1, 2), (0, 3), (1, 3), (0, 4)}
         assert sorted(op.degree for op in ops) == [3, 6, 7, 14, 15]
 
+    def test_prefixes_of_one_list(self):
+        # each answer is read off a cached list for degrees below a power
+        # of two, so compare across those bucket boundaries
+        for profile in (Profile.full(), Profile.E(2), Profile.D(), Profile.D(2)):
+            top = generators(profile, 255)
+            assert [op.degree for op in top] == sorted(op.degree for op in top)
+            for d in range(-1, 256):
+                assert generators(profile, d) == tuple(op for op in top if op.degree <= d)
+
 
 def brute_monomial_count(profile, degree, tmax=6):
     """Independent count: enumerate exponent vectors directly."""
