@@ -15,10 +15,10 @@ the Cartan formula), the forward rule
 
 where a term is kept when every a_v is a binary submask of its target
 exponent E_v - a_v(2^t-1) (Lucas).  right_action applies it term by
-term.  action_matrix builds each row from it block by block: the sorted
-basis groups the sources by first exponent, so fixing a_0 fixes the
-block, and the row is the OR of the rank-(n-1) rows of the tail shifted
-to their blocks.  A general Milnor monomial xi^mu goes through
+term.  _pst_rows builds each matrix row from it block by block: the
+sorted basis groups the sources by first exponent, so fixing a_0 fixes
+the block, and the row is the OR of the rank-(n-1) rows of the tail
+shifted to their blocks.  A general Milnor monomial xi^mu goes through
 expand_action instead, which extracts coefficients from the coaction on
 a rank-1 class x^d (x^{2^j} goes to sum_i x^{2^{i+j}} (x) xi_i^{2^j},
 multiplicatively over the binary digits of d) by assigning binary
@@ -26,8 +26,20 @@ digits of the exponents to the xi_t.  That route is independent of the
 forward rule, and passing Pst.dual instead of the Pst selects it: it is
 the oracle for the exhaustive annihilator and the cross-checks.
 
-annihilated_subspace reduces full-algebra cells by Wood's vanishing and
-Kameko's doubling, then intersects generator kernels from ker Sq^1.
+The forward rule keeps the support of b_F (the v with F_v > 0): a_v = 0
+where F_v = 0, and where F_v > 0 the target exponent is F_v itself
+(a_v = 0) or holds the submask a_v > 0.  So
+H_d(BV_n) is, as a module, the direct sum over the supports S of copies
+of the positive part of H_d(BV_|S|), spanned by the b_F with every
+F_v >= 1 (degree_basis(k, d, 1), of dimension C(d - 1, k - 1)), and
+so is its annihilated subspace.  annihilated_subspace solves each
+positive part once per k = 1..n and embeds it over the C(n, k)
+supports; at A r4 d22 that is problems of dimension 1,330, 210 and 21
+instead of one of 2,300.  Over the full algebra a positive part is
+first reduced by Wood's vanishing and Kameko's doubling; otherwise the
+generator kernels are intersected from ker Sq^1.  The union is the
+whole annihilated subspace, which is GL(n, 2)-stable although no single
+summand is, so coinvariant_quotient takes it unchanged.
 
 The general linear group acts by divided power substitution: for g in
 GL(n, 2) the generator a_j goes to sum_i g[i][j] a_i (column convention),
@@ -44,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
     Callable,
@@ -54,12 +65,14 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 from .gf2 import GF2Matrix, GF2Subspace, common_kernel
 from .milnor import Profile, Pst, Xi, dual_basis, generators, mono_degree
+from .record import Record, init_field
 
 __all__ = [
     "Monomial",
@@ -91,31 +104,32 @@ Operation = Union[Pst, Xi]
 
 
 @lru_cache(maxsize=None)
-def degree_basis(rank: int, degree: int) -> Tuple[Monomial, ...]:
-    """All exponent tuples of the given total degree, sorted."""
+def degree_basis(rank: int, degree: int, least: int = 0) -> Tuple[Monomial, ...]:
+    """All exponent tuples of the given total degree with every exponent
+    at least `least`, sorted: the basis of H_degree(BV_rank), or with
+    least = 1 of its positive part.  The tuples with first exponent f are
+    f followed by the rank - 1 basis of degree - f, so listing them by f
+    keeps the order."""
     if rank < 1:
         raise ValueError("rank must be positive")
-    if degree < 0:
-        return ()
-    out = []
-    # bars-and-stars: cut points of a weak composition
-    for cuts in itertools.combinations(range(degree + rank - 1), rank - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(degree + rank - 2 - prev)
-        out.append(tuple(comp))
-    return tuple(sorted(out))
+    if rank == 1:
+        return ((degree,),) if degree >= least else ()
+    return tuple((f,) + tail for f in range(least, degree + 1) for tail in _basis(rank - 1, degree - f, least))
+
+
+def _basis(rank: int, degree: int, least: int) -> Tuple[Monomial, ...]:
+    """degree_basis, cached under the key of a caller that leaves least out
+    when it is 0."""
+    return degree_basis(rank, degree, least) if least else degree_basis(rank, degree)
 
 
 @lru_cache(maxsize=None)
-def _basis_index(rank: int, degree: int) -> Dict[Monomial, int]:
-    return {m: i for i, m in enumerate(degree_basis(rank, degree))}
+def _basis_index(rank: int, degree: int, least: int = 0) -> Dict[Monomial, int]:
+    return {m: i for i, m in enumerate(_basis(rank, degree, least))}
 
 
-def basis_dim(rank: int, degree: int) -> int:
+def basis_dim(rank: int, degree: int, least: int = 0) -> int:
+    degree -= least * rank
     if degree < 0:
         return 0
     return math.comb(degree + rank - 1, rank - 1)
@@ -140,21 +154,32 @@ def coords_to_terms(rank: int, degree: int, v: int) -> FrozenSet[Monomial]:
     return frozenset(terms)
 
 
-@dataclass(frozen=True)
-class HElement:
+class HElement(Record):
     """A homogeneous element of H_degree(BV_rank), as a set of b_E terms."""
 
-    rank: int
-    degree: int
-    terms: FrozenSet[Monomial]
+    __slots__ = ("rank", "degree", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", frozenset(self.terms))
-        for m in self.terms:
-            if len(m) != self.rank or any(e < 0 for e in m):
-                raise ValueError(f"bad term {m} for rank {self.rank}")
-            if sum(m) != self.degree:
-                raise ValueError(f"term {m} not of degree {self.degree}")
+    def __init__(self, rank: int, degree: int, terms: Iterable[Monomial]):
+        terms = frozenset(terms)
+        for m in terms:
+            if len(m) != rank or any(e < 0 for e in m):
+                raise ValueError(f"bad term {m} for rank {rank}")
+            if sum(m) != degree:
+                raise ValueError(f"term {m} not of degree {degree}")
+        init_field(self, "rank", rank)
+        init_field(self, "degree", degree)
+        init_field(self, "terms", terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is HElement
+            and self.rank == other.rank
+            and self.degree == other.degree
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.degree, self.terms))
 
     @classmethod
     def zero(cls, rank: int, degree: int) -> "HElement":
@@ -279,7 +304,7 @@ def action_matrix(op: Operation, rank: int, degree: int) -> GF2Matrix:
     """
     ncols = basis_dim(rank, degree)
     if isinstance(op, Pst):
-        return GF2Matrix(_pst_rows(rank, degree - op.degree, op.s, op.t), ncols)
+        return GF2Matrix(_pst_rows(rank, degree - op.degree, op.s, op.t, 0), ncols)
     src_idx = _basis_index(rank, degree)
     rows = []
     for target in degree_basis(rank, degree - mono_degree(op)):
@@ -291,17 +316,22 @@ def action_matrix(op: Operation, rank: int, degree: int) -> GF2Matrix:
 
 
 @lru_cache(maxsize=None)
-def _block_starts(rank: int, degree: int) -> Tuple[int, ...]:
-    """Index in degree_basis(rank, degree) of the first monomial with first
-    exponent f, for f = 0..degree: the basis is sorted, so the monomials
-    with first exponent f form one block of basis_dim(rank - 1, degree - f)."""
+def _block_starts(rank: int, degree: int, least: int) -> Tuple[int, ...]:
+    """Index in degree_basis(rank, degree, least) of the first monomial with
+    first exponent f, at position f - least: the basis is sorted, so the
+    monomials with first exponent f form one block of
+    basis_dim(rank - 1, degree - f, least)."""
     return tuple(
-        itertools.accumulate((basis_dim(rank - 1, degree - f) for f in range(degree)), initial=0)
+        itertools.accumulate(
+            (basis_dim(rank - 1, degree - f, least) for f in range(least, degree)), initial=0
+        )
     )
 
 
-def _pst_rows(rank: int, degree: int, s: int, t: int) -> List[int]:
-    """Rows of action_matrix(Pst(s, t)) for the targets of the given degree.
+def _pst_rows(rank: int, degree: int, s: int, t: int, least: int) -> List[int]:
+    """Rows of the action of P_t^s on the targets of the given degree, over
+    degree_basis(rank, _, least) on both sides: least = 0 for all of H_*,
+    least = 1 for the positive part, which P_t^s preserves.
 
     The row of target E under a total r has a bit at each source
     E + a(2^t - 1) with sum a_v = r and every a_v a binary submask of E_v.
@@ -309,7 +339,8 @@ def _pst_rows(rank: int, degree: int, s: int, t: int) -> List[int]:
     its block (_block_starts), inside which the source sits where its tail
     sits in the basis one rank lower: the row is the OR over a_0 of the
     tail's row under r - a_0, shifted to that block.  Rank-2 rows are
-    memoized for this call.
+    memoized for this call; a rank-2 source sits at its first exponent
+    minus least.
     """
     m = (1 << t) - 1
     pairs: Dict[Tuple[int, int, int], int] = {}
@@ -323,7 +354,7 @@ def _pst_rows(rank: int, degree: int, s: int, t: int) -> List[int]:
             a = cand
             while a >= r - e1:
                 if a <= r and (r - a) & e1 == r - a:
-                    bits |= 1 << (e0 + a * m)
+                    bits |= 1 << (e0 + a * m - least)
                 if not a:
                     break
                 a = (a - 1) & cand
@@ -334,7 +365,7 @@ def _pst_rows(rank: int, degree: int, s: int, t: int) -> List[int]:
         e0 = e[0]
         tail = e[1:]
         d_tail = d - e0
-        starts = _block_starts(len(e), d + r * m)
+        starts = _block_starts(len(e), d + r * m, least)
         short = len(tail) == 2
         bits = 0
         cand = e0 & ((1 << r.bit_length()) - 1)
@@ -344,18 +375,19 @@ def _pst_rows(rank: int, degree: int, s: int, t: int) -> List[int]:
             if a <= r:
                 sub = row2(tail[0], tail[1], r - a) if short else row(tail, d_tail, r - a)
                 if sub:
-                    bits |= sub << starts[e0 + a * m]
+                    bits |= sub << starts[e0 + a * m - least]
             if not a:
                 break
             a = (a - 1) & cand
         return bits
 
     r = 1 << s
+    basis = _basis(rank, degree, least)
     if rank == 1:
-        return [int(r & e0 == r) for (e0,) in degree_basis(1, degree)]
+        return [int(r & e0 == r) for (e0,) in basis]
     if rank == 2:
-        return [row2(e0, e1, r) for e0, e1 in degree_basis(2, degree)]
-    return [row(e, degree, r) for e in degree_basis(rank, degree)]
+        return [row2(e0, e1, r) for e0, e1 in basis]
+    return [row(e, degree, r) for e in basis]
 
 
 def right_action(x: HElement, op: Operation) -> HElement:
@@ -388,68 +420,120 @@ def annihilated_subspace(
 
     exhaustive=True intersects the kernels (common_kernel) of every Milnor
     basis element of positive degree: the definition, and the reference.
-    The default reduces the cell first (_annihilated) and then uses the
-    P_t^s of the profile.  matrix swaps in another action-matrix source,
-    e.g. a timed wrapper.
+    matrix swaps in another action-matrix source for it, e.g. a timed
+    wrapper.  The default computes the positive parts once per rank and
+    embeds them over every support (_annihilated).
     """
-    make = matrix if matrix is not None else action_matrix
     if exhaustive:
+        make = matrix if matrix is not None else action_matrix
         ops = [m for d in range(1, degree + 1) for m in dual_basis(profile, d)]
         return common_kernel((make(op, rank, degree) for op in ops), basis_dim(rank, degree))
-    return _annihilated(profile, rank, degree, make)
+    return _annihilated(profile, rank, degree)
 
 
-def _annihilated(
-    profile: Profile, rank: int, degree: int, make: Callable[[Operation, int, int], GF2Matrix]
-) -> GF2Subspace:
-    """The default route of annihilated_subspace, with make resolved.
+def _annihilated(profile: Profile, rank: int, degree: int) -> GF2Subspace:
+    """The default route of annihilated_subspace: the annihilated positive
+    part of each size k (_positive), embedded over the C(rank, k)
+    supports of that size.  Embedding keeps the order of the monomials
+    and different supports share none, so the union is already reduced.
+    """
+    dim = basis_dim(rank, degree)
+    if degree == 0:
+        return GF2Subspace(dim, (1,))  # b_0 is killed by everything
+    idx = _basis_index(rank, degree)
+    vecs: List[int] = []
+    for k in range(1, min(rank, degree) + 1):
+        positive = _positive(profile, k, degree)
+        if not positive:
+            continue
+        basis = degree_basis(k, degree, 1)
+        for support in itertools.combinations(range(rank), k):
+            vecs += _map_bits(positive, lambda i: idx[_embed(basis[i], support, rank)])
+    return GF2Subspace(dim, vecs)
+
+
+def _embed(term: Monomial, support: Tuple[int, ...], rank: int) -> Monomial:
+    """The rank-`rank` exponent tuple with term's exponents at support."""
+    full = [0] * rank
+    for v, e in zip(support, term):
+        full[v] = e
+    return tuple(full)
+
+
+def _map_bits(vectors: Iterable[int], target: Callable[[int], int]) -> List[int]:
+    """The vectors with each bit i moved to bit target(i), computed once
+    per bit."""
+    moved: Dict[int, int] = {}
+    out = []
+    for v in vectors:
+        w = 0
+        while v:
+            low = v & -v
+            bit = moved.get(low)
+            if bit is None:
+                bit = moved[low] = 1 << target(low.bit_length() - 1)
+            w |= bit
+            v ^= low
+        out.append(w)
+    return out
+
+
+def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
+    """Basis of the annihilated subspace of the positive part of
+    H_degree(BV_rank), in degree_basis(rank, degree, 1) coordinates.
 
     Over the full algebra, with mu(d) the least number of terms 2^k - 1
     summing to d (mu(d) <= n exactly when alpha(d + n) <= n, alpha
     counting binary digits):
-    - mu(degree) > rank: the subspace is 0 (Wood 1989, dual form);
+    - mu(degree) > rank: it is 0 (Wood 1989, dual form);
     - mu(degree) == rank and degree = 2h + rank with h > 0: doubling
-      (kameko_sq0) is an isomorphism from degree h (Kameko 1990).
+      b_E -> b_{2E+1} (kameko_sq0) is an isomorphism from all of
+      H_h(BV_rank) (Kameko 1990), and its image is positive.
     Otherwise the kernels of the generators are intersected, starting
     from the closed-form basis of ker Sq^1 (_sq1_kernel) when Sq^1 is one
-    of them.
+    of them.  P_t^s acts as 0 on H_degree when 2^(s+t) > degree (its
+    excess 2^s is above the degree of the target), so those are skipped.
     """
-    dim = basis_dim(rank, degree)
     if profile.is_full():
         if (degree + rank).bit_count() > rank:  # mu(degree) > rank
-            return GF2Subspace(dim, ())
+            return ()
         half, odd = divmod(degree - rank, 2)
         # mu(degree) == rank: not above rank, and above rank - 1
         if half > 0 and not odd and (degree + rank - 1).bit_count() >= rank:
-            low = _annihilated(profile, rank, half, make)
-            doubled = (kameko_sq0(HElement.from_coords(rank, half, v)) for v in low.basis)
-            return GF2Subspace(dim, (x.to_coords() for x in doubled))
-    ops = generators(profile, degree)
+            low = degree_basis(rank, half)
+            idx = _basis_index(rank, degree, 1)
+            return _map_bits(
+                _annihilated(profile, rank, half).basis,
+                lambda i: idx[tuple(2 * e + 1 for e in low[i])],
+            )
+    ops = [op for op in generators(profile, degree) if 1 << (op.s + op.t) <= degree]
     start = None
-    if ops[:1] == (Pst(0, 1),):
+    if ops[:1] == [Pst(0, 1)]:
         ops, start = ops[1:], _sq1_kernel(rank, degree)
-    return common_kernel((make(op, rank, degree) for op in ops), dim, start)
+    dim = basis_dim(rank, degree, 1)
+    mats = (GF2Matrix(_pst_rows(rank, degree - op.degree, op.s, op.t, 1), dim) for op in ops)
+    return common_kernel(mats, dim, start).basis
 
 
 def _sq1_kernel(rank: int, degree: int) -> List[int]:
-    """A basis of ker Sq^1 on H_degree(BV_rank), for degree >= 1.
+    """A basis of ker Sq^1 on the positive part of H_degree(BV_rank), in
+    degree_basis(rank, degree, 1) coordinates, for degree >= 1.
 
-    b_F . Sq^1 is the sum of b_{F - e_v} over the v with F_v even and
-    positive, a differential that is acyclic above degree 0.  Matching F,
-    where its first nonzero exponent is even, with F minus 1 there is a
-    discrete Morse matching, so the b_F . Sq^1 for those F of degree + 1
-    are a basis of the image, which is the kernel; each has at most rank
-    terms.
+    b_F . Sq^1 is the sum of b_{F - e_v} over the v with F_v even, which
+    for positive F stay positive: a differential, acyclic because H_*(BV)
+    is acyclic above degree 0 and this is a summand.  Matching F, where
+    F_0 is even, with F - e_0 is a discrete Morse matching, so the
+    b_F . Sq^1 for those F of degree + 1 are a basis of the image, which
+    is the kernel; each has at most rank terms.
     """
-    idx = _basis_index(rank, degree)
+    idx = _basis_index(rank, degree, 1)
     out = []
-    for f in degree_basis(rank, degree + 1):
-        first = next(v for v, e in enumerate(f) if e)
-        if f[first] & 1:
+    for f in degree_basis(rank, degree + 1, 1):
+        if f[0] & 1:
             continue
         w = 0
-        for v in range(first, rank):
-            if f[v] and not f[v] & 1:
+        for v in range(rank):
+            if not f[v] & 1:
                 w |= 1 << idx[f[:v] + (f[v] - 1,) + f[v + 1 :]]
         out.append(w)
     return out
@@ -598,16 +682,20 @@ def gl_act(g: GLMatrix, x: HElement) -> HElement:
 # coinvariants ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoinvariantPresentation:
+class CoinvariantPresentation(Record):
     """A GL-stable subspace P of H_degree together with its coinvariant
     quotient P / span{p + g p}."""
 
-    rank: int
-    degree: int
-    space: GF2Subspace
-    relations: GF2Subspace
-    reps: GF2Subspace
+    __slots__ = ("rank", "degree", "space", "relations", "reps")
+
+    def __init__(
+        self, rank: int, degree: int, space: GF2Subspace, relations: GF2Subspace, reps: GF2Subspace
+    ):
+        init_field(self, "rank", rank)
+        init_field(self, "degree", degree)
+        init_field(self, "space", space)
+        init_field(self, "relations", relations)
+        init_field(self, "reps", reps)
 
     @property
     def dim(self) -> int:

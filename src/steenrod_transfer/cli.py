@@ -18,7 +18,14 @@ import json
 import sys
 from typing import Callable, Optional, Sequence, Tuple
 
-from .bv import HElement, action_matrix, annihilated_subspace, basis_dim, coinvariant_quotient
+from .bv import (
+    HElement,
+    _basis_index,
+    annihilated_subspace,
+    basis_dim,
+    coinvariant_quotient,
+    degree_basis,
+)
 from .checks import SUITES, run_suite, suite_report
 from .cobar import class_of, hclass_str
 from .gf2 import BudgetError
@@ -222,8 +229,9 @@ def cmd_table(args) -> int:
     for d in degrees:
         sub = annihilated_subspace(profile, args.rank, d)
         rows.append(f"{d},{sub.dim},{coinvariant_quotient(sub, args.rank, d).dim}")
-        # no other cell of the sweep uses this degree's matrices
-        action_matrix.cache_clear()
+        # the bases of this degree serve no other cell; kept, a sweep holds all of them
+        degree_basis.cache_clear()
+        _basis_index.cache_clear()
     print("degree,annihilated_dim,coinvariant_dim")
     for row in rows:
         print(row)

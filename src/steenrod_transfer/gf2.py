@@ -62,9 +62,9 @@ def _eliminate(pivots: Dict[int, int], v: int, mask: int = -1) -> int:
     return v
 
 
-def _rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns),
-    both ordered by pivot column."""
+def _rref(rows: Iterable[int]) -> Tuple[Dict[int, int], int]:
+    """Reduced row echelon form: the nonzero rows keyed by their pivot bit,
+    in pivot order, and the union of the pivot bits."""
     pivots: Dict[int, int] = {}
     for r in rows:
         _eliminate(pivots, r)
@@ -81,7 +81,7 @@ def _rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
             v ^= pivots[bit]
             hits ^= bit
         pivots[low] = v
-    return [pivots[low] for low in order], [low.bit_length() - 1 for low in order]
+    return {low: pivots[low] for low in order}, pivot_bits
 
 
 class GF2Matrix:
@@ -184,15 +184,18 @@ def common_kernel(
 
 
 class GF2Subspace:
-    """A subspace of F2^ambient_dim, stored as an RREF basis."""
+    """A subspace of F2^ambient_dim, stored as an RREF basis.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    Each basis row holds exactly one pivot bit, so reducing v takes the
+    row of each pivot bit set in v, once.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "_rows", "_pivot_bits")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[int]):
-        rows, pivots = _rref(vectors)
+        self._rows, self._pivot_bits = _rref(vectors)
         self.ambient_dim = ambient_dim
-        self.basis = tuple(rows)
-        self.pivots = tuple(pivots)
+        self.basis = tuple(self._rows.values())
 
     @property
     def dim(self) -> int:
@@ -215,20 +218,27 @@ class GF2Subspace:
         """Canonical coset representative of v modulo this subspace."""
         if v.bit_length() > self.ambient_dim:
             raise ValueError("vector outside ambient space")
-        for r, p in zip(self.basis, self.pivots):
-            if v >> p & 1:
-                v ^= r
+        rows = self._rows
+        hits = v & self._pivot_bits
+        while hits:
+            bit = hits & -hits
+            v ^= rows[bit]
+            hits ^= bit
         return v
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
     def coords(self, v: int) -> Optional[int]:
-        """Coefficients of v over the RREF basis rows, or None."""
+        """Coefficients of v over the RREF basis rows, or None: bit i for
+        the row of the i-th pivot, the pivots v holds."""
         if self.reduce(v) != 0:
             return None
+        pivot_bits = self._pivot_bits
+        hits = v & pivot_bits
         out = 0
-        for i, p in enumerate(self.pivots):
-            if v >> p & 1:
-                out |= 1 << i
+        while hits:
+            bit = hits & -hits
+            out |= 1 << (pivot_bits & (bit - 1)).bit_count()
+            hits ^= bit
         return out

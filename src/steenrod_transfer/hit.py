@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .bv import Monomial, basis_dim, coords_to_terms, degree_basis, terms_to_coords
 from .gf2 import GF2Matrix, GF2Subspace
+from .record import Record, init_field
 
 __all__ = [
     "PolyElement",
@@ -49,20 +49,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolyElement:
+class PolyElement(Record):
     """A sum of monomials in H^degree(BV_rank), exponent tuples mod 2."""
 
-    rank: int
-    degree: int
-    terms: FrozenSet[Monomial]
+    __slots__ = ("rank", "degree", "terms")
 
-    def __post_init__(self):
-        for t in self.terms:
-            if len(t) != self.rank or any(e < 0 for e in t):
-                raise ValueError(f"bad monomial {t} for rank {self.rank}")
-            if sum(t) != self.degree:
-                raise ValueError(f"monomial {t} not of degree {self.degree}")
+    def __init__(self, rank: int, degree: int, terms: FrozenSet[Monomial]):
+        for t in terms:
+            if len(t) != rank or any(e < 0 for e in t):
+                raise ValueError(f"bad monomial {t} for rank {rank}")
+            if sum(t) != degree:
+                raise ValueError(f"monomial {t} not of degree {degree}")
+        init_field(self, "rank", rank)
+        init_field(self, "degree", degree)
+        init_field(self, "terms", terms)
 
     @classmethod
     def zero(cls, rank: int, degree: int) -> "PolyElement":

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
+
+from .record import Record, init_field
 
 __all__ = [
     "Xi",
@@ -40,7 +41,6 @@ __all__ = [
     "Profile",
     "generators",
     "dual_basis",
-    "mono_str",
 ]
 
 Xi = Tuple[Tuple[int, int], ...]
@@ -197,8 +197,7 @@ class Pst(NamedTuple):
         return xi(self.t, 1 << self.s)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Non-decreasing h: {1,2,...} -> {0,1,...,inf}.
 
     heads give h(1..len(heads)); past them the tail rule applies:
@@ -206,31 +205,42 @@ class Profile:
     Stored normalized, so equal functions compare equal.
     """
 
-    heads: Tuple[int, ...] = ()
-    tail: str = "const"
-    tail_value: Optional[int] = None
+    __slots__ = ("heads", "tail", "tail_value")
 
-    def __post_init__(self):
-        if self.tail not in ("const", "diag"):
-            raise ValueError(f"unknown tail rule {self.tail!r}")
-        if self.tail == "diag" and self.tail_value is not None:
+    def __init__(self, heads: Tuple[int, ...] = (), tail: str = "const", tail_value: Optional[int] = None):
+        if tail not in ("const", "diag"):
+            raise ValueError(f"unknown tail rule {tail!r}")
+        if tail == "diag" and tail_value is not None:
             raise ValueError("diag tail takes no tail_value")
-        if self.tail_value is not None and self.tail_value < 0:
+        if tail_value is not None and tail_value < 0:
             raise ValueError("tail_value must be nonnegative")
-        heads = list(self.heads)
+        heads = list(heads)
         if any(h < 0 for h in heads):
             raise ValueError("profile values must be nonnegative")
         # strip heads the tail rule already implies
         while heads:
             t = len(heads)
-            implied = t if self.tail == "diag" else self.tail_value
+            implied = t if tail == "diag" else tail_value
             if implied is None or heads[-1] != implied:
                 break
             heads.pop()
-        object.__setattr__(self, "heads", tuple(heads))
+        init_field(self, "heads", tuple(heads))
+        init_field(self, "tail", tail)
+        init_field(self, "tail_value", tail_value)
         vals = [self(t) for t in range(1, len(self.heads) + 2)]
         if any(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"profile not non-decreasing: {vals}")
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is Profile
+            and self.heads == other.heads
+            and self.tail == other.tail
+            and self.tail_value == other.tail_value
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.heads, self.tail, self.tail_value))
 
     def __call__(self, t: int) -> Union[int, float]:
         if t < 1:
@@ -381,9 +391,3 @@ def dual_basis(profile: Profile, degree: int) -> Tuple[Xi, ...]:
 
     rec(tmax, degree, [])
     return tuple(sorted(out))
-
-
-def mono_str(m: Xi) -> str:
-    if not m:
-        return "1"
-    return " ".join(f"xi{t}^{e}" if e > 1 else f"xi{t}" for t, e in m)

@@ -21,13 +21,13 @@ words are kept for printing and counting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .bv import HElement
 from .cobar import WordSum, class_of, is_cocycle
 from .milnor import ONE, DualPoly, Profile, mono_mul, xi
+from .record import Record, init_field
 
 __all__ = [
     "f_star",
@@ -96,15 +96,23 @@ def presentable(k: int, m: int) -> bool:
     return rec(0, k + 1)
 
 
-@dataclass(frozen=True)
-class TransferImage:
-    """Image of a homology element in the length-rank cobar cell."""
+class TransferImage(Record):
+    """Image of a homology element in the length-rank cobar cell.
 
-    rank: int
-    degree: int  # cobar degree: homology degree + rank
-    words: WordSum
-    # (f_star(e_1), ..., f_star(e_n)) per term; the words are their expansion
-    factors: FrozenSet[Tuple[DualPoly, ...]]
+    degree is the cobar degree, homology degree + rank; factors holds
+    (f_star(e_1), ..., f_star(e_n)) per term, and the words are their
+    expansion.
+    """
+
+    __slots__ = ("rank", "degree", "words", "factors")
+
+    def __init__(
+        self, rank: int, degree: int, words: WordSum, factors: FrozenSet[Tuple[DualPoly, ...]]
+    ):
+        init_field(self, "rank", rank)
+        init_field(self, "degree", degree)
+        init_field(self, "words", words)
+        init_field(self, "factors", factors)
 
     def is_zero(self) -> bool:
         return not self.words

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from steenrod_transfer.bv import (
     HElement,
     _basis_index,
+    _pst_image,
     _rotate,
     _shear,
     _sq1_kernel,
@@ -266,21 +267,72 @@ def direct_annihilated(profile, rank, degree):
     return common_kernel(mats, basis_dim(rank, degree))
 
 
+def positive_rows(op, rank, degree):
+    """Rows of op on the positive part of H_degree, target by source, from
+    right_action term by term; a target outside the positive part would
+    have no index."""
+    target = _basis_index(rank, degree - op.degree, 1)
+    rows = [0] * basis_dim(rank, degree - op.degree, 1)
+    for j, f in enumerate(degree_basis(rank, degree, 1)):
+        for e in right_action(HElement.b(*f), op).terms:
+            rows[target[e]] |= 1 << j
+    return rows
+
+
+PROFILES = {
+    "A": Profile.full(),
+    "E1": Profile.E(1),
+    "E2": Profile.E(2),
+    "E3": Profile.E(3),
+    "D": Profile.D(),
+}
+
+
+class TestSummands:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=5), st.integers(0, 4), st.integers(1, 4))
+    def test_pst_keeps_support(self, f, s, t):
+        f = tuple(f)
+        for e in _pst_image(f, s, t):
+            assert [x > 0 for x in e] == [x > 0 for x in f]
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("rank, top", [(1, 40), (2, 24), (3, 16), (4, 12)], ids=["r1", "r2", "r3", "r4"])
+    def test_matches_exhaustive(self, name, rank, top):
+        prof = PROFILES[name]
+        for d in range(top + 1):
+            assert annihilated_subspace(prof, rank, d) == annihilated_subspace(prof, rank, d, exhaustive=True), d
+
+    def test_unstable_pst_act_as_zero(self):
+        # P_t^s has excess 2^s, above the target degree when 2^(s+t) > d
+        count = 0
+        for rank in range(1, 5):
+            for d in range(1, {1: 64, 2: 40, 3: 24, 4: 16}[rank]):
+                for t in range(1, d.bit_length() + 1):
+                    for s in range(d.bit_length()):
+                        op = Pst(s, t)
+                        if op.degree <= d < 1 << (s + t):
+                            assert not any(action_matrix(op, rank, d).rows), (op, rank, d)
+                            count += 1
+        assert count > 100
+
+
 class TestReductions:
-    # (rank, largest degree) with ambient dimension at most 1,001
-    SQ1_CELLS = {1: 60, 2: 40, 3: 20, 4: 12, 5: 10}
+    # (rank, largest degree) with positive dimension at most 1,001
+    SQ1_CELLS = {1: 60, 2: 40, 3: 24, 4: 16, 5: 15}
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_morse_basis_spans_ker_sq1(self, data):
+        # on the positive part, the summand the default route starts from
         rank = data.draw(st.integers(1, 5), label="rank")
         d = data.draw(st.integers(1, self.SQ1_CELLS[rank]), label="degree")
-        dim = basis_dim(rank, d)
+        dim = basis_dim(rank, d, 1)
         vecs = _sq1_kernel(rank, d)
         assert all(0 < v.bit_count() <= rank for v in vecs)
         span = GF2Subspace(dim, vecs)
         assert span.dim == len(vecs)  # independent
-        want = reference_kernel(action_matrix(Pst(0, 1), rank, d).rows, dim)
+        want = reference_kernel(positive_rows(Pst(0, 1), rank, d), dim)
         assert span.basis == tuple(want)
 
     @pytest.mark.parametrize(
@@ -297,24 +349,29 @@ class TestReductions:
             assert reduced == direct, d
             assert coinvariant_quotient(reduced, rank, d).dim == coinvariant_quotient(direct, rank, d).dim
 
-    def test_reductions_skip_matrices(self):
+    def test_reductions_skip_matrices(self, monkeypatch):
+        import steenrod_transfer.bv as bv
+
         full = Profile.full()
         calls = []
+        rows = bv._pst_rows
 
-        def record(op, rank, degree):
-            calls.append((op, degree))
-            return action_matrix(op, rank, degree)
+        def record(rank, degree, s, t, least):
+            op = Pst(s, t)
+            calls.append((op, degree + op.degree))
+            return rows(rank, degree, s, t, least)
 
-        # Wood: mu(27) = 5 > 4, so no matrix at all
-        assert annihilated_subspace(full, 4, 27, matrix=record).dim == 0
+        monkeypatch.setattr(bv, "_pst_rows", record)
+        # Wood: mu(27) = 5 is above every summand's rank, so no rows at all
+        assert annihilated_subspace(full, 4, 27).dim == 0
         assert calls == []
-        # Kameko: 20 = 2 * 8 + 4 with mu(20) = 4, so only degree-8 matrices
-        annihilated_subspace(full, 4, 20, matrix=record)
+        # Kameko: 20 = 2 * 8 + 4 with mu(20) = 4, so only degree-8 rows
+        annihilated_subspace(full, 4, 20)
         assert {d for _, d in calls} == {8}
-        # ker Sq^1 is in closed form: its matrix is never built
+        # ker Sq^1 is in closed form: its rows are never built
         calls.clear()
         for prof in (full, Profile.E(1), Profile.D()):
-            annihilated_subspace(prof, 3, 11, matrix=record)
+            annihilated_subspace(prof, 3, 11)
         assert calls and Pst(0, 1) not in {op for op, _ in calls}
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from steenrod_transfer.bv import action_matrix
+from steenrod_transfer.bv import _basis_index, action_matrix, degree_basis
 from steenrod_transfer.cli import main, parse_algebra, parse_degree_range
 from steenrod_transfer.milnor import Profile
 
@@ -133,11 +133,15 @@ class TestTable:
         assert nonzero == [1, 3, 5, 7, 11]
 
     def test_releases_action_matrices(self, capsys):
-        # no cell of a table reuses another degree's matrices
+        # no cell of a table reuses another degree's matrices or bases
+        caches = (action_matrix, degree_basis, _basis_index)
+        for cache in caches:
+            cache.cache_clear()
         rc = main(["table", "--algebra", "A", "--rank", "3", "--degree-range", "1..9"])
         capsys.readouterr()
         assert rc == 0
-        assert action_matrix.cache_info().currsize == 0
+        for cache in caches:
+            assert cache.cache_info().currsize == 0
 
     def test_rank4_kameko_cells_within_budget(self, capsys):
         # doubling from degrees 16 and 18; the direct Sq^2 matrices are over budget

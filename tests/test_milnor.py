@@ -15,7 +15,6 @@ from steenrod_transfer.milnor import (
     generators,
     mono_degree,
     mono_mul,
-    mono_str,
     poly_add,
     poly_mul,
     xi,
@@ -61,10 +60,6 @@ class TestRing:
     def test_frobenius_is_squaring(self, m):
         p = frozenset({m, xi(1, 9)})
         assert frobenius(p, 1) == poly_mul(p, p)
-
-    def test_str(self):
-        assert mono_str(ONE) == "1"
-        assert mono_str(mono_mul(xi(1, 2), xi(2))) == "xi1^2 xi2"
 
 
 class TestCoproduct:

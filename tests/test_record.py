@@ -1,0 +1,34 @@
+import pytest
+
+from steenrod_transfer.bv import HElement
+from steenrod_transfer.checks import CheckResult
+from steenrod_transfer.hit import PolyElement
+from steenrod_transfer.milnor import Profile
+from steenrod_transfer.transfer import transfer_chain
+
+
+def test_equal_only_within_a_class():
+    # same field values, different classes
+    h, p = HElement.b(1, 2), PolyElement.x(1, 2)
+    assert (h.rank, h.degree, h.terms) == (p.rank, p.degree, p.terms)
+    assert h != p and not h == p
+    assert h == HElement.b(1, 2) and hash(h) == hash(HElement.b(1, 2))
+    assert p == PolyElement.x(1, 2) and hash(p) == hash(PolyElement.x(1, 2))
+    assert Profile.E(2) == Profile((0,), "const", 2) != Profile.E(3)
+    assert hash(Profile.E(2)) == hash(Profile((0,), "const", 2))
+    assert transfer_chain(h) == transfer_chain(HElement.b(1, 2))
+
+
+def test_immutable():
+    for obj, name in ((HElement.b(3), "terms"), (PolyElement.x(3), "rank"), (Profile.full(), "tail")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+
+
+def test_repr():
+    assert repr(CheckResult("a", True)) == "CheckResult(name='a', passed=True, detail='')"
+    assert repr(Profile.full()) == "Profile(heads=(), tail='const', tail_value=None)"
