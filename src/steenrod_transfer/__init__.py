@@ -50,7 +50,7 @@ from .hit import (
     sq,
 )
 from .stratr import is_invariant, parse_r_text, r_mono, same_s_excluded, sq_2k
-from .checks import SUITES, run_criterion, run_suite
+from .checks import SUITES, run_criterion
 
 __all__ = [
     "BudgetError",
@@ -91,7 +91,6 @@ __all__ = [
     "r_mono",
     "right_action",
     "run_criterion",
-    "run_suite",
     "same_s_excluded",
     "set_bit_budget",
     "sq",

@@ -76,6 +76,7 @@ from .record import Record, init_field
 
 __all__ = [
     "Monomial",
+    "GradedElement",
     "HElement",
     "degree_basis",
     "basis_dim",
@@ -154,8 +155,9 @@ def coords_to_terms(rank: int, degree: int, v: int) -> FrozenSet[Monomial]:
     return frozenset(terms)
 
 
-class HElement(Record):
-    """A homogeneous element of H_degree(BV_rank), as a set of b_E terms."""
+class GradedElement(Record):
+    """A homogeneous element of rank and degree fixed, as a set of exponent
+    tuples with coefficients in GF(2).  Equal only within one subclass."""
 
     __slots__ = ("rank", "degree", "terms")
 
@@ -172,7 +174,7 @@ class HElement(Record):
 
     def __eq__(self, other) -> bool:
         return (
-            type(other) is HElement
+            type(other) is type(self)
             and self.rank == other.rank
             and self.degree == other.degree
             and self.terms == other.terms
@@ -182,27 +184,33 @@ class HElement(Record):
         return hash((self.rank, self.degree, self.terms))
 
     @classmethod
-    def zero(cls, rank: int, degree: int) -> "HElement":
+    def zero(cls, rank: int, degree: int):
         return cls(rank, degree, frozenset())
-
-    @classmethod
-    def b(cls, *exponents: int) -> "HElement":
-        return cls(len(exponents), sum(exponents), frozenset({tuple(exponents)}))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __xor__(self, other: "HElement") -> "HElement":
+    def __xor__(self, other):
         if (self.rank, self.degree) != (other.rank, other.degree):
             raise ValueError("rank/degree mismatch")
-        return HElement(self.rank, self.degree, self.terms ^ other.terms)
+        return type(self)(self.rank, self.degree, self.terms ^ other.terms)
 
     def to_coords(self) -> int:
         return terms_to_coords(self.rank, self.degree, self.terms)
 
     @classmethod
-    def from_coords(cls, rank: int, degree: int, v: int) -> "HElement":
+    def from_coords(cls, rank: int, degree: int, v: int):
         return cls(rank, degree, coords_to_terms(rank, degree, v))
+
+
+class HElement(GradedElement):
+    """A homogeneous element of H_degree(BV_rank), as a set of b_E terms."""
+
+    __slots__ = ()
+
+    @classmethod
+    def b(cls, *exponents: int) -> "HElement":
+        return cls(len(exponents), sum(exponents), frozenset({tuple(exponents)}))
 
     def to_dict(self) -> dict:
         return {
@@ -210,10 +218,6 @@ class HElement(Record):
             "degree": self.degree,
             "terms": sorted(list(m) for m in self.terms),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HElement":
-        return cls(d["rank"], d["degree"], frozenset(tuple(m) for m in d["terms"]))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -720,21 +724,16 @@ class CoinvariantPresentation(Record):
         return self.class_coords(x) == self.class_coords(y)
 
 
-def coinvariant_quotient(
-    space: Union[GF2Subspace, Profile], rank: int, degree: int
-) -> CoinvariantPresentation:
+def coinvariant_quotient(space: GF2Subspace, rank: int, degree: int) -> CoinvariantPresentation:
     """Quotient of a GL-stable subspace by the augmentation submodule.
 
     Relations are spanned by p + g p for p over a basis of the space and
     g over the two gl_generators, applied in closed form; stability under
-    the generators is enough and is verified here.  Passing a profile
-    quotients its annihilated subspace, which is GL-stable because the
-    two actions commute.
+    the generators is enough and is verified here.  An annihilated
+    subspace is GL-stable because the two actions commute.
     Each generator maps each basis monomial once per call: g p is the sum
     of the images of p's bits.
     """
-    if isinstance(space, Profile):
-        space = annihilated_subspace(space, rank, degree)
     ambient = basis_dim(rank, degree)
     if space.ambient_dim != ambient:
         raise ValueError("subspace not in the right coordinate space")

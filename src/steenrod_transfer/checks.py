@@ -6,17 +6,15 @@ detail to see what went wrong.  The checks are grouped into named suites
 (`SUITES`) that the command line exposes; `all` runs everything.
 
 A criterion is a function returning a list of CheckResult.  Everything
-is recomputed on each run; the only inputs read from disk are the
-packaged fixture elements, which themselves were generated from the
-compact notation by scripts/make_fixtures.py.
+is recomputed on each run and nothing is read from disk: the rank-4
+elements are written in the compact digit notation of hit.parse_terms
+and parsed where they are used.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from importlib import resources
 from typing import Callable, Dict, List, Tuple
 
 from .bv import (
@@ -50,10 +48,7 @@ __all__ = [
     "CriterionReport",
     "CRITERIA",
     "SUITES",
-    "load_fixture",
     "run_criterion",
-    "run_suite",
-    "suite_report",
 ]
 
 
@@ -93,11 +88,6 @@ class CriterionReport(Record):
                 for c in self.checks
             ],
         }
-
-
-def load_fixture(name: str) -> HElement:
-    path = resources.files("steenrod_transfer") / "fixtures" / name
-    return HElement.from_dict(json.loads(path.read_text()))
 
 
 def _hel(text: str, rank: int, degree: int) -> HElement:
@@ -301,7 +291,7 @@ def crit_degree11_witness() -> List[CheckResult]:
         )
     )
 
-    quo = coinvariant_quotient(E2, 2, 11)
+    quo = coinvariant_quotient(anni, 2, 11)
     out.append(
         CheckResult(
             "witness-class-nonzero",
@@ -317,7 +307,8 @@ def crit_degree11_witness() -> List[CheckResult]:
     # corrected identity leaves [b] = [b9b2], which the computation
     # confirms is nonzero in both meets
     for m in (1, 3):
-        sub = coinvariant_quotient(E2.meet(Profile.E(m)), 2, 11)
+        meet = E2.meet(Profile.E(m))
+        sub = coinvariant_quotient(annihilated_subspace(meet, 2, 11), 2, 11)
         out.append(
             CheckResult(
                 f"witness-class-zero-in-meet-with-E{m}",
@@ -419,11 +410,15 @@ def crit_degree20_kernel() -> List[CheckResult]:
 
 
 D0_X_TEXT = "2255+2165+1256+1166+4253+4163+3263+2435+1436+2336+4433"
+D0_EXTRA_TEXT = "3155+5513+5135+5315+5333"
 
 
 def crit_degree14_fixture() -> List[CheckResult]:
     out = []
-    z = load_fixture("d0_chain_rep.json")
+    # the representative is x symmetrised over two slot swaps, plus D0_EXTRA_TEXT
+    x = _hel(D0_X_TEXT, 4, 14)
+    y = x ^ gl_act(swap_matrix(4, 1, 2), x) ^ gl_act(swap_matrix(4, 0, 2), x)
+    z = y ^ _hel(D0_EXTRA_TEXT, 4, 14)
     kernel = annihilated_subspace(FULL, 4, 14)
     out.append(
         CheckResult(
@@ -433,20 +428,12 @@ def crit_degree14_fixture() -> List[CheckResult]:
         )
     )
 
-    x = _hel(D0_X_TEXT, 4, 14)
     steps = [
         ("sq1-x", right_action(x, Pst(0, 1)), _hel("4333+3433", 4, 13)),
         ("sq2-x", right_action(x, Pst(1, 1)), _hel("3153+1335+3333", 4, 12)),
         ("sq4-x", right_action(x, Pst(2, 1)), _hel("1333+3133", 4, 10)),
+        ("sq2-symmetrized-x", right_action(y, Pst(1, 1)), _hel("3153+3513+3315+5133+3333", 4, 12)),
     ]
-    y = x ^ gl_act(swap_matrix(4, 1, 2), x) ^ gl_act(swap_matrix(4, 0, 2), x)
-    steps.append(
-        (
-            "sq2-symmetrized-x",
-            right_action(y, Pst(1, 1)),
-            _hel("3153+3513+3315+5133+3333", 4, 12),
-        )
-    )
     for name, got, want in steps:
         out.append(CheckResult(name, got == want, f"got {got}"))
 
@@ -463,6 +450,18 @@ def crit_degree14_fixture() -> List[CheckResult]:
 
 
 # -- rank 4, degree 17 ----------------------------------------------------
+
+
+# the candidate mixes notations (prefix groups, comma forms, bare digit
+# runs); its transcription is best effort, and nothing depends on it
+# being exactly the printed element
+E0_CANDIDATE = (
+    "2555+1655+18(53)+17(63)+14(75)+13(76)+14(93)+23(93)"
+    "+12(95)+11,10,5+1169+12(11,3)+4(355)+11,12,3+114,11+"
+    "+1187+2177+112,13+111,14+3356+3635+3563"
+    "+5336+5633+5363+6(335)+8333+7433+7253+7163"
+    "+2933+1,10,33+2735+2375+2357+1736+1376+1367"
+)
 
 
 def crit_degree17_existence() -> List[CheckResult]:
@@ -544,15 +543,16 @@ def crit_degree17_existence() -> List[CheckResult]:
     )
 
     try:
-        cand = load_fixture("e0_chain_candidate.json")
+        cand = _hel(E0_CANDIDATE, 4, 17)
+    except ValueError as e:
+        detail = f"unparseable: {e}"
+    else:
         in_kernel = kernel.contains(cand.to_coords())
         detail = f"{len(cand.terms)} terms, annihilated: {in_kernel}"
         if in_kernel:
             cls = transfer_class(cand, E2)
             detail += f", class = {hclass_str(cls) if cls else cls}"
-        out.append(CheckResult("candidate-fixture-report", True, detail))
-    except (FileNotFoundError, ValueError) as e:
-        out.append(CheckResult("candidate-fixture-report", True, f"unparseable: {e}"))
+    out.append(CheckResult("candidate-fixture-report", True, detail))
     return out
 
 
@@ -809,24 +809,3 @@ def run_criterion(name: str) -> CriterionReport:
     checks = tuple(CRITERIA[name]())
     elapsed = time.perf_counter() - start
     return CriterionReport(name, all(c.passed for c in checks), elapsed, checks)
-
-
-def run_suite(suite: str, out: Callable[[str], None] = print) -> bool:
-    if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    ok = True
-    for name in SUITES[suite]:
-        report = run_criterion(name)
-        for line in report.lines():
-            out(line)
-        ok = ok and report.passed
-    return ok
-
-
-def suite_report(suite: str) -> dict:
-    reports = [run_criterion(name) for name in SUITES[suite]]
-    return {
-        "suite": suite,
-        "passed": all(r.passed for r in reports),
-        "criteria": [r.to_dict() for r in reports],
-    }

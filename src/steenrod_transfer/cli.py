@@ -26,7 +26,7 @@ from .bv import (
     coinvariant_quotient,
     degree_basis,
 )
-from .checks import SUITES, run_suite, suite_report
+from .checks import SUITES, run_criterion
 from .cobar import class_of, hclass_str
 from .gf2 import BudgetError
 from .milnor import Profile
@@ -210,13 +210,19 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    reports = []
+    for name in SUITES[args.suite]:
+        report = run_criterion(name)
+        if args.format == "text":
+            print("\n".join(report.lines()))
+        reports.append(report)
+    passed = all(r.passed for r in reports)
     if args.format == "json":
-        report = suite_report(args.suite)
-        print(json.dumps(report, indent=1))
-        return 0 if report["passed"] else 1
-    ok = run_suite(args.suite)
-    print("suite result:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+        criteria = [r.to_dict() for r in reports]
+        print(json.dumps({"suite": args.suite, "passed": passed, "criteria": criteria}, indent=1))
+    else:
+        print("suite result:", "PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 def cmd_table(args) -> int:

@@ -30,9 +30,8 @@ import re
 from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .bv import Monomial, basis_dim, coords_to_terms, degree_basis, terms_to_coords
+from .bv import GradedElement, Monomial, basis_dim, degree_basis, terms_to_coords
 from .gf2 import GF2Matrix, GF2Subspace
-from .record import Record, init_field
 
 __all__ = [
     "PolyElement",
@@ -49,36 +48,14 @@ __all__ = [
 ]
 
 
-class PolyElement(Record):
+class PolyElement(GradedElement):
     """A sum of monomials in H^degree(BV_rank), exponent tuples mod 2."""
 
-    __slots__ = ("rank", "degree", "terms")
-
-    def __init__(self, rank: int, degree: int, terms: FrozenSet[Monomial]):
-        for t in terms:
-            if len(t) != rank or any(e < 0 for e in t):
-                raise ValueError(f"bad monomial {t} for rank {rank}")
-            if sum(t) != degree:
-                raise ValueError(f"monomial {t} not of degree {degree}")
-        init_field(self, "rank", rank)
-        init_field(self, "degree", degree)
-        init_field(self, "terms", terms)
-
-    @classmethod
-    def zero(cls, rank: int, degree: int) -> "PolyElement":
-        return cls(rank, degree, frozenset())
+    __slots__ = ()
 
     @classmethod
     def x(cls, *exponents: int) -> "PolyElement":
         return cls(len(exponents), sum(exponents), frozenset({tuple(exponents)}))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __xor__(self, other: "PolyElement") -> "PolyElement":
-        if (self.rank, self.degree) != (other.rank, other.degree):
-            raise ValueError("mismatched rank or degree")
-        return PolyElement(self.rank, self.degree, self.terms ^ other.terms)
 
     def __mul__(self, other: "PolyElement") -> "PolyElement":
         if self.rank != other.rank:
@@ -88,13 +65,6 @@ class PolyElement(Record):
             for b in other.terms:
                 acc ^= {tuple(p + q for p, q in zip(a, b))}
         return PolyElement(self.rank, self.degree + other.degree, frozenset(acc))
-
-    def to_coords(self) -> int:
-        return terms_to_coords(self.rank, self.degree, self.terms)
-
-    @classmethod
-    def from_coords(cls, rank: int, degree: int, v: int) -> "PolyElement":
-        return cls(rank, degree, coords_to_terms(rank, degree, v))
 
     def __str__(self) -> str:
         if not self.terms:
