@@ -4,7 +4,9 @@ Four subcommands: `annihilated` prints the annihilated subspace of one
 (algebra, rank, degree) cell, `transfer` adds the chain-level transfer
 image and class of each basis element, `verify` runs a named check
 suite, and `table` sweeps a degree range into CSV.  Nothing is written
-to disk; every cell is computed afresh.
+to disk; every cell is computed afresh.  `verify` runs its criteria and
+`table` its degrees in forked worker processes, one per available CPU,
+and prints the results in the order of the input.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (raised while parsing), 3 budget exceeded, 4 internal error (a
@@ -14,9 +16,11 @@ ValueError inside a command: a fault of the program, not its input).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .bv import (
     HElement,
@@ -119,6 +123,41 @@ def _degree_range_arg(text: str) -> range:
     return degrees
 
 
+def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
+    """Yield fn(item) for each item, in the order of items.
+
+    The items are shared out among forked worker processes, one per CPU
+    this process may run on and at most one per item; fn must be a
+    module-level function and its results picklable.  An exception that
+    fn raises in a worker is raised here.  With one worker or without
+    os.fork this is the plain map, in this process.  A forked worker
+    inherits the imported package, where the spawn and forkserver start
+    methods would import it again.  Forking is safe because the command
+    line starts no thread, and the executor forks every worker before it
+    starts its own.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(items), cpus)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # what the workers inherit is then left out of their collections, which
+    # would otherwise traverse it and copy every page it is on
+    gc.freeze()
+    try:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            yield from pool.map(fn, items)
+    finally:
+        gc.unfreeze()
+
+
 def _word_json(word: Tuple) -> dict:
     return {"slots": [[list(pair) for pair in letter] for letter in word]}
 
@@ -211,8 +250,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = []
-    for name in SUITES[args.suite]:
-        report = run_criterion(name)
+    for report in _map_in_workers(run_criterion, SUITES[args.suite]):
         if args.format == "text":
             print("\n".join(report.lines()))
         reports.append(report)
@@ -225,19 +263,23 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+def _table_row(cell: Tuple[Profile, int, int]) -> str:
+    profile, rank, degree = cell
+    sub = annihilated_subspace(profile, rank, degree)
+    row = f"{degree},{sub.dim},{coinvariant_quotient(sub, rank, degree).dim}"
+    # the bases of this degree serve no other cell; kept, a sweep holds all of them
+    degree_basis.cache_clear()
+    _basis_index.cache_clear()
+    return row
+
+
 def cmd_table(args) -> int:
     profile = parse_algebra(args.algebra)
     degrees = args.degree_range
     for d in degrees:
         _check_budget(args.rank, d)
 
-    rows = []
-    for d in degrees:
-        sub = annihilated_subspace(profile, args.rank, d)
-        rows.append(f"{d},{sub.dim},{coinvariant_quotient(sub, args.rank, d).dim}")
-        # the bases of this degree serve no other cell; kept, a sweep holds all of them
-        degree_basis.cache_clear()
-        _basis_index.cache_clear()
+    rows = list(_map_in_workers(_table_row, [(profile, args.rank, d) for d in degrees]))
     print("degree,annihilated_dim,coinvariant_dim")
     for row in rows:
         print(row)

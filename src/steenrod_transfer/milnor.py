@@ -371,11 +371,15 @@ def dual_basis(profile: Profile, degree: int) -> Tuple[Xi, ...]:
     while (1 << (tmax + 1)) - 1 <= degree:
         tmax += 1
     out: List[Xi] = []
+    h1 = profile(1)
+    cap1 = degree if h1 == math.inf else (1 << int(h1)) - 1
 
     def rec(t: int, remaining: int, acc: List[Tuple[int, int]]):
-        if t == 0:
-            if remaining == 0:
-                out.append(tuple(reversed(acc)))
+        if t == 1:
+            # xi_1 has degree 1, so its exponent is the degree left over
+            if remaining <= cap1:
+                head = ((1, remaining),) if remaining else ()
+                out.append(head + tuple(reversed(acc)))
             return
         w = (1 << t) - 1
         emax = remaining // w
@@ -389,5 +393,5 @@ def dual_basis(profile: Profile, degree: int) -> Tuple[Xi, ...]:
             if e:
                 acc.pop()
 
-    rec(tmax, degree, [])
+    rec(max(tmax, 1), degree, [])
     return tuple(sorted(out))

@@ -1,10 +1,35 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import steenrod_transfer
+from steenrod_transfer import checks
 from steenrod_transfer.bv import _basis_index, action_matrix, degree_basis
+from steenrod_transfer.checks import SUITES, CheckResult
 from steenrod_transfer.cli import main, parse_algebra, parse_degree_range
+from steenrod_transfer.gf2 import BudgetError
 from steenrod_transfer.milnor import Profile
+
+SRC = str(Path(steenrod_transfer.__file__).resolve().parent.parent)
+
+
+def set_cpus(monkeypatch, n):
+    """Make the CLI see n CPUs, so that it uses n workers (or none for 1)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def run_cli_python(code):
+    """Run Python code in a fresh interpreter with the package importable,
+    its stdout a pipe; returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestParsing:
@@ -132,8 +157,10 @@ class TestTable:
         nonzero = [int(l.split(",")[0]) for l in lines[1:] if l.split(",")[1] != "0"]
         assert nonzero == [1, 3, 5, 7, 11]
 
-    def test_releases_action_matrices(self, capsys):
-        # no cell of a table reuses another degree's matrices or bases
+    def test_releases_action_matrices(self, capsys, monkeypatch):
+        # no cell of a table reuses another degree's matrices or bases; one
+        # CPU keeps the cells in this process, where the caches can be seen
+        set_cpus(monkeypatch, 1)
         caches = (action_matrix, degree_basis, _basis_index)
         for cache in caches:
             cache.cache_clear()
@@ -224,3 +251,86 @@ class TestBudgetsAndCache:
             assert main(argv) == 0
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWorkers:
+    """verify and table share their items among forked workers."""
+
+    @staticmethod
+    def reports(capsys, suite):
+        rc = main(["verify", suite, "--format", "json"])
+        criteria = json.loads(capsys.readouterr().out)["criteria"]
+        for c in criteria:
+            del c["elapsed"]
+        return rc, criteria
+
+    def test_same_reports_with_and_without_workers(self, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        with_workers = self.reports(capsys, "lemmas")
+        set_cpus(monkeypatch, 1)
+        serial = self.reports(capsys, "lemmas")
+        assert with_workers == serial
+        assert [c["name"] for c in serial[1]] == list(SUITES["lemmas"])
+        assert multiprocessing.active_children() == []
+
+    def test_table_same_rows_with_and_without_workers(self, capsys, monkeypatch):
+        argv = ["table", "--algebra", "A", "--rank", "3", "--degree-range", "1..12"]
+        outs = []
+        for n in (2, 1):
+            set_cpus(monkeypatch, n)
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error, rc, prefix",
+        [(ValueError, 4, "internal error: "), (BudgetError, 3, "budget error: ")],
+        ids=["internal", "budget"],
+    )
+    def test_error_in_a_worker(self, capsys, monkeypatch, error, rc, prefix):
+        parent = os.getpid()
+
+        def broken():
+            raise error(f"raised in {'a worker' if os.getpid() != parent else 'the parent'}")
+
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setitem(checks.CRITERIA, "transfer-image-windows", broken)
+        assert main(["verify", "lemmas"]) == rc
+        err = capsys.readouterr().err
+        assert f"{prefix}raised in a worker" in err.splitlines()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_a_failed_suite(self, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setitem(checks.CRITERIA, "kameko-frobenius", lambda: [CheckResult("no", False)])
+        assert main(["verify", "lemmas"]) == 1
+        assert "FAIL  kameko-frobenius" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []
+
+    def test_each_line_printed_once_to_a_pipe(self):
+        # a line still buffered when the workers fork must not be written
+        # again by each worker as it exits
+        proc = run_cli_python(
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from steenrod_transfer.cli import main\n"
+            "print('before the workers')\n"
+            "sys.exit(main(['verify', 'lemmas']))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines.count("before the workers") == 1
+        verdicts = [line.split()[1] for line in lines if line.startswith(("PASS", "FAIL"))]
+        assert verdicts == list(SUITES["lemmas"])
+
+    def test_one_criterion_forks_nothing(self):
+        proc = run_cli_python(
+            "import sys\n"
+            "from steenrod_transfer.cli import main\n"
+            "rc = main(['verify', 'thm1.1-g'])\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "sys.exit(rc)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

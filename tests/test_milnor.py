@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -336,6 +337,22 @@ class TestDualBasis:
         for m in basis:
             assert mono_degree(m) == d
             assert prof.mono_survives(m)
+
+    def test_whole_lists_against_enumeration(self):
+        # every exponent vector of xi_1..xi_5 up to degree 40, kept where
+        # each exponent is below 2^h(t)
+        max_degree = 40
+        weights = [(t, (1 << t) - 1) for t in range(1, 6)]
+        by_degree = {}
+        for exps in itertools.product(*(range(max_degree // w + 1) for _, w in weights)):
+            d = sum(e * w for e, (_, w) in zip(exps, weights))
+            if d <= max_degree:
+                m = tuple((t, e) for (t, _), e in zip(weights, exps) if e)
+                by_degree.setdefault(d, []).append(m)
+        for prof in (Profile.full(), Profile.E(1), Profile.E(2), Profile.D()):
+            for d in range(max_degree + 1):
+                want = sorted(m for m in by_degree[d] if all(e < 2 ** prof(t) for t, e in m))
+                assert list(dual_basis(prof, d)) == want, (prof, d)
 
     def test_e1_subset_sums(self):
         # exterior profile: exponents are 0/1, so counts are subset sums

@@ -1,7 +1,9 @@
+import pickle
+
 import pytest
 
-from steenrod_transfer.bv import HElement
-from steenrod_transfer.checks import CheckResult
+from steenrod_transfer.bv import HElement, annihilated_subspace, coinvariant_quotient
+from steenrod_transfer.checks import CheckResult, CriterionReport
 from steenrod_transfer.hit import PolyElement
 from steenrod_transfer.milnor import Profile
 from steenrod_transfer.transfer import transfer_chain
@@ -32,3 +34,28 @@ def test_immutable():
 def test_repr():
     assert repr(CheckResult("a", True)) == "CheckResult(name='a', passed=True, detail='')"
     assert repr(Profile.full()) == "Profile(heads=(), tail='const', tail_value=None)"
+
+
+def test_pickle_roundtrip():
+    # a forked worker of the CLI sends its results back pickled
+    check = CheckResult("a", True, "x")
+    space = annihilated_subspace(Profile.E(2), 2, 11)
+    records = [
+        HElement.b(1, 2),
+        PolyElement.x(1, 2),
+        Profile.E(2),
+        Profile((2,), "diag"),
+        coinvariant_quotient(space, 2, 11),
+        transfer_chain(HElement.b(1, 2)),
+        check,
+        CriterionReport("c", False, 0.25, (check, CheckResult("b", False))),
+    ]
+    for obj in records:
+        loaded = pickle.loads(pickle.dumps(obj))
+        assert type(loaded) is type(obj)
+        assert loaded == obj and hash(loaded) == hash(obj)
+        assert repr(loaded) == repr(obj)
+        with pytest.raises(AttributeError):
+            setattr(loaded, type(obj)._fields[0], None)
+        with pytest.raises(AttributeError):
+            loaded.extra = 1
