@@ -240,61 +240,63 @@ def expand_action(op: Operation, source: Monomial) -> FrozenSet[Monomial]:
     2^{j+t} in the target exponent, and the digit sets chosen for the
     different xi_t must be disjoint and sum to mu's exponents overall.
     Each valid assignment contributes one target monomial; parity counts.
+
+    The variables are walked breadth-first over the states (owed to each
+    xi_t, target exponents so far), kept mod 2; in one variable the xi_t
+    take disjoint submasks of its exponent, each at most what it is owed.
     """
     mu = _as_mono(op)
-    ts = tuple(t for t, _ in mu)
-    out: set = set()
-    n = len(source)
+    states = {(tuple(e for _, e in mu), ())}
+    left = sum(source)
+    for ev in source:
+        left -= ev
+        nxt: set = set()
+        for owed, target in states:
+            # (digits still free, owed after the xi_t so far, target exponent)
+            splits = [(ev, (), ev)]
+            for (t, _), r in zip(mu, owed):
+                low = (1 << r.bit_length()) - 1
+                w = (1 << t) - 1
+                more = []
+                for free, done, fv in splits:
+                    cand = free & low
+                    a = cand
+                    while True:
+                        if a <= r:
+                            more.append((free ^ a, done + (r - a,), fv + a * w))
+                        if not a:
+                            break
+                        a = (a - 1) & cand
+                splits = more
+            for _, done, fv in splits:
+                if sum(done) <= left:  # the later variables can still pay
+                    nxt.symmetric_difference_update(((done, target + (fv,)),))
+        states = nxt
+    return frozenset(target for owed, target in states if not any(owed))
 
-    def per_var(v: int, rem: Tuple[int, ...], acc: List[int]):
-        if v == n:
-            if not any(rem):
-                out.symmetric_difference_update({tuple(acc)})
-            return
-        ev = source[v]
-        digits = [1 << j for j in range(ev.bit_length()) if ev >> j & 1]
 
-        def assign(i: int, taken: Tuple[int, ...], fv: int):
-            if i == len(digits):
-                acc.append(fv)
-                per_var(v + 1, tuple(r - t for r, t in zip(rem, taken)), acc)
-                acc.pop()
-                return
-            d = digits[i]
-            assign(i + 1, taken, fv + d)  # digit left alone
-            for c, t in enumerate(ts):
-                if taken[c] + d <= rem[c]:
-                    assign(i + 1, taken[:c] + (taken[c] + d,) + taken[c + 1 :], fv + (d << t))
-
-        assign(0, (0,) * len(ts), 0)
-
-    per_var(0, tuple(e for _, e in mu), [])
-    return frozenset(out)
-
-
-def _pst_image(source: Monomial, s: int, t: int) -> Iterator[Monomial]:
+def _pst_image(source: Monomial, s: int, t: int) -> List[Monomial]:
     """Terms of b_source . P_t^s by the forward rule: b_{F - a(2^t - 1)}
     over the splits sum a_v = 2^s whose parts a_v are binary submasks of
-    the target exponents F_v - a_v(2^t - 1)."""
-    n = len(source)
+    the target exponents F_v - a_v(2^t - 1), built one variable at a
+    time; the last variable takes what is left."""
     m = (1 << t) - 1
-    acc: List[int] = []
-
-    def walk(v: int, rem: int) -> Iterator[Monomial]:
-        f = source[v]
-        if v == n - 1:
-            e = f - rem * m
-            if e >= 0 and rem & e == rem:
-                yield tuple(acc) + (e,)
-            return
-        for a in range(min(rem, f // m) + 1):
-            e = f - a * m
-            if a & e == a:
-                acc.append(e)
-                yield from walk(v + 1, rem - a)
-                acc.pop()
-
-    return walk(0, 1 << s)
+    partial = [((), 1 << s)]  # (target exponents so far, part of 2^s left)
+    for f in source[:-1]:
+        nxt = []
+        for acc, rem in partial:
+            for a in range(min(rem, f // m) + 1):
+                e = f - a * m
+                if a & e == a:
+                    nxt.append((acc + (e,), rem - a))
+        partial = nxt
+    f = source[-1]
+    out = []
+    for acc, rem in partial:
+        e = f - rem * m
+        if e >= 0 and rem & e == rem:
+            out.append(acc + (e,))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -348,50 +350,58 @@ def _pst_rows(rank: int, degree: int, s: int, t: int, least: int) -> List[int]:
     """
     m = (1 << t) - 1
     pairs: Dict[Tuple[int, int, int], int] = {}
-
-    def row2(e0: int, e1: int, r: int) -> int:
-        key = (e0, e1, r)
-        bits = pairs.get(key)
-        if bits is None:
-            bits = 0
-            cand = e0 & ((1 << r.bit_length()) - 1)
-            a = cand
-            while a >= r - e1:
-                if a <= r and (r - a) & e1 == r - a:
-                    bits |= 1 << (e0 + a * m - least)
-                if not a:
-                    break
-                a = (a - 1) & cand
-            pairs[key] = bits
-        return bits
-
-    def row(e: Monomial, d: int, r: int) -> int:
-        e0 = e[0]
-        tail = e[1:]
-        d_tail = d - e0
-        starts = _block_starts(len(e), d + r * m, least)
-        short = len(tail) == 2
-        bits = 0
-        cand = e0 & ((1 << r.bit_length()) - 1)
-        a = cand
-        # the tail takes r - a, at most its degree
-        while a >= r - d_tail:
-            if a <= r:
-                sub = row2(tail[0], tail[1], r - a) if short else row(tail, d_tail, r - a)
-                if sub:
-                    bits |= sub << starts[e0 + a * m - least]
-            if not a:
-                break
-            a = (a - 1) & cand
-        return bits
-
     r = 1 << s
     basis = _basis(rank, degree, least)
     if rank == 1:
         return [int(r & e0 == r) for (e0,) in basis]
     if rank == 2:
-        return [row2(e0, e1, r) for e0, e1 in basis]
-    return [row(e, degree, r) for e in basis]
+        return [_pair_row(e0, e1, r, m, least, pairs) for e0, e1 in basis]
+    return [_row(e, degree, r, m, least, pairs) for e in basis]
+
+
+def _pair_row(e0: int, e1: int, r: int, m: int, least: int, pairs: Dict) -> int:
+    """The rank-2 row of _pst_rows for target (e0, e1) under the total r,
+    with m = 2^t - 1, memoized in pairs."""
+    key = (e0, e1, r)
+    bits = pairs.get(key)
+    if bits is None:
+        bits = 0
+        cand = e0 & ((1 << r.bit_length()) - 1)
+        a = cand
+        while a >= r - e1:
+            if a <= r and (r - a) & e1 == r - a:
+                bits |= 1 << (e0 + a * m - least)
+            if not a:
+                break
+            a = (a - 1) & cand
+        pairs[key] = bits
+    return bits
+
+
+def _row(e: Monomial, d: int, r: int, m: int, least: int, pairs: Dict) -> int:
+    """The row of _pst_rows for a target e of rank >= 3 and degree d under
+    the total r: the tail's rows shifted to their blocks."""
+    e0 = e[0]
+    tail = e[1:]
+    d_tail = d - e0
+    starts = _block_starts(len(e), d + r * m, least)
+    short = len(tail) == 2
+    bits = 0
+    cand = e0 & ((1 << r.bit_length()) - 1)
+    a = cand
+    # the tail takes r - a, at most its degree
+    while a >= r - d_tail:
+        if a <= r:
+            if short:
+                sub = _pair_row(tail[0], tail[1], r - a, m, least, pairs)
+            else:
+                sub = _row(tail, d_tail, r - a, m, least, pairs)
+            if sub:
+                bits |= sub << starts[e0 + a * m - least]
+        if not a:
+            break
+        a = (a - 1) & cand
+    return bits
 
 
 def right_action(x: HElement, op: Operation) -> HElement:

@@ -231,39 +231,48 @@ def is_cocycle(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) 
 
 @lru_cache(maxsize=None)
 def cell_basis(profile: Profile, length: int, degree: int) -> Tuple[Word, ...]:
-    """All words of the given length and total degree, sorted."""
+    """All words of the given length and total degree, sorted: each first
+    letter of degree k before each word of length - 1 and degree - k."""
     if length == 0:
         return ((),) if degree == 0 else ()
-    if degree < length:  # letters have degree >= 1
-        return ()
-    out: List[Word] = []
-
-    def rec(slots: int, remaining: int, acc: List[Xi]):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        # leave at least 1 per later slot
-        for d in range(1, remaining - (slots - 1) + 1):
-            for m in dual_basis(profile, d):
-                acc.append(m)
-                rec(slots - 1, remaining - d, acc)
-                acc.pop()
-
-    rec(length, degree, [])
-    return tuple(sorted(out))
+    words = [
+        (m,) + rest
+        for k in range(1, degree - length + 2)  # letters have degree >= 1
+        for m in dual_basis(profile, k)
+        for rest in cell_basis(profile, length - 1, degree - k)
+    ]
+    return tuple(sorted(words))
 
 
 @lru_cache(maxsize=None)
 def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix:
-    """Matrix of d: C^{length} -> C^{length+1} in cell_basis coordinates."""
+    """Matrix of d: C^{length} -> C^{length+1} in cell_basis coordinates.
+
+    d is computed once per slot-permutation orbit of source words, on its
+    sorted word; since d(sigma . w) = (1 | sigma) . d(w), every other word
+    of the orbit takes those image words with the slots after the head
+    permuted to its own order.
+    """
     src = cell_basis(profile, length, degree)
     tgt = cell_basis(profile, length + 1, degree)
     tgt_idx = {w: i for i, w in enumerate(tgt)}
     rows = [0] * len(tgt)
+    orbits: Dict[Word, List[int]] = {}
     for j, w in enumerate(src):
-        for image in _differential((w,), profile):
-            rows[tgt_idx[image]] ^= 1 << j
+        orbits.setdefault(tuple(sorted(w)), []).append(j)
+    for key, members in orbits.items():
+        images = _differential((key,), profile)
+        for j in members:
+            w = src[j]
+            if w == key:
+                moved = images
+            else:
+                # slot i of w holds letter pos[i] of the sorted word
+                order = sorted(range(length), key=w.__getitem__)
+                pos = sorted(range(length), key=order.__getitem__)
+                moved = map(itemgetter(0, *(1 + p for p in pos)), images)
+            for image in moved:
+                rows[tgt_idx[image]] ^= 1 << j
     return GF2Matrix(rows, len(src))
 
 
@@ -320,24 +329,18 @@ def _primitive_letters(profile: Profile, max_degree: int) -> Tuple[Tuple[int, in
 def h_monomials(profile: Profile, length: int, degree: int) -> Tuple[HMono, ...]:
     """Degree-matching multisets of h_{t,s} indices, letters primitive."""
     letters = _primitive_letters(profile, degree)
-    out: List[HMono] = []
-
-    def rec(i: int, slots: int, remaining: int, acc: List[Tuple[int, int]]):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for j in range(i, len(letters)):
-            t, s = letters[j]
-            d = (1 << s) * ((1 << t) - 1)
-            if d > remaining - (slots - 1):
-                continue
-            acc.append((t, s))
-            rec(j, slots - 1, remaining - d, acc)
-            acc.pop()
-
-    rec(0, length, degree, [])
-    return tuple(sorted(out))
+    # (letters so far, index of the last, degree left), one slot at a time
+    partial: List[Tuple[HMono, int, int]] = [((), 0, degree)]
+    for slots in range(length, 0, -1):
+        nxt = []
+        for acc, i, remaining in partial:
+            for j in range(i, len(letters)):
+                t, s = letters[j]
+                d = (1 << s) * ((1 << t) - 1)
+                if d <= remaining - (slots - 1):
+                    nxt.append((acc + ((t, s),), j, remaining - d))
+        partial = nxt
+    return tuple(sorted(acc for acc, _, remaining in partial if remaining == 0))
 
 
 def word_of(hm: HMono) -> Word:

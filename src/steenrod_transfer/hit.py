@@ -10,8 +10,12 @@ not a tautology.
 
 A class is hit when it lies in A^+ H^*; since the Sq^{2^j} generate, the
 hit elements of one degree are spanned by the images of the Sq^{2^j}
-alone.  Conjugates chi(Sq^k) are kept as sums of Sq compositions and
-only ever evaluated, never straightened through Adem relations.
+alone.  They keep the support of a monomial (Sq^j x^0 = 0 for j > 0),
+so the hit subspace is the direct sum over the supports of size k of
+the hit subspace of the positive part of H^degree(BV_k), the monomials
+with every exponent positive, which _positive_hit computes once per
+(k, degree).  Conjugates chi(Sq^k) are kept as sums of Sq compositions
+and only ever evaluated, never straightened through Adem relations.
 
 The shorthand parser reads the compact monomial lists used for rank-4
 elements: "4433" is an exponent tuple, "11,10,5" uses commas for
@@ -28,9 +32,10 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .bv import GradedElement, Monomial, basis_dim, degree_basis, terms_to_coords
+from .bv import _basis_index, _embed, _map_bits  # coordinates of the support summands
 from .gf2 import GF2Matrix, GF2Subspace
 
 __all__ = [
@@ -76,28 +81,25 @@ class PolyElement(GradedElement):
 
 
 def _sq_mono(i: int, mono: Monomial) -> Set[Monomial]:
-    """Sq^i on one monomial; Cartan over the variables."""
-    out: Set[Monomial] = set()
-
-    def rec(v: int, rem: int, acc: List[int]):
-        if v == len(mono):
-            if rem == 0:
-                out.add(tuple(acc))
-            return
-        e = mono[v]
-        # binom(e, j) odd iff the digits of j lie inside e
-        j = e
-        while True:
-            if j <= rem:
-                acc.append(e + j)
-                rec(v + 1, rem - j, acc)
-                acc.pop()
-            if j == 0:
-                break
-            j = (j - 1) & e
-
-    rec(0, i, [])
-    return out
+    """Sq^i on one monomial; Cartan over the variables, one at a time."""
+    partial = [((), i)]  # (exponents so far, part of i left)
+    left = sum(mono)
+    for e in mono:
+        left -= e
+        nxt = []
+        for acc, rem in partial:
+            # binom(e, j) odd iff the digits of j lie inside e; the later
+            # variables take rem - j, at most their degree
+            cand = e & ((1 << rem.bit_length()) - 1)
+            j = cand
+            while j >= rem - left:
+                if j <= rem:
+                    nxt.append((acc + (e + j,), rem - j))
+                if not j:
+                    break
+                j = (j - 1) & cand
+        partial = nxt
+    return {acc for acc, _ in partial}
 
 
 def sq(i: int, p: PolyElement) -> PolyElement:
@@ -124,26 +126,50 @@ def sq_matrix(i: int, rank: int, degree: int) -> GF2Matrix:
 
 
 @lru_cache(maxsize=None)
-def decomposables(rank: int, degree: int) -> GF2Subspace:
-    """The hit subspace (A^+ H^*)_degree of H^degree(BV_rank).
-
-    Spanned by the images of the Sq^{2^j}, which suffice because they
-    generate the algebra and hit elements absorb further operations.
-    """
+def _positive_hit(rank: int, degree: int) -> GF2Subspace:
+    """The hit subspace of the positive part of H^degree(BV_rank), for
+    degree >= 1, in degree_basis(rank, degree, 1) coordinates.  The
+    positive monomials of degree - 2^j span the source of Sq^(2^j)
+    there, since the squares keep the support."""
+    idx = _basis_index(rank, degree, 1)
     vectors: List[int] = []
-    j = 0
-    while (1 << j) <= degree:
-        i = 1 << j
-        for mono in degree_basis(rank, degree - i):
-            v = terms_to_coords(rank, degree, _sq_mono(i, mono))
+    for j in range(degree.bit_length()):  # the 2^j <= degree
+        for mono in degree_basis(rank, degree - (1 << j), 1):
+            v = 0
+            for m in _sq_mono(1 << j, mono):
+                v |= 1 << idx[m]
             if v:
                 vectors.append(v)
-        j += 1
+    return GF2Subspace(len(idx), vectors)
+
+
+@lru_cache(maxsize=None)
+def decomposables(rank: int, degree: int) -> GF2Subspace:
+    """The hit subspace (A^+ H^*)_degree of H^degree(BV_rank): the hit
+    subspace of each positive part (_positive_hit) embedded over every
+    support of its size."""
+    idx = _basis_index(rank, degree)
+    vectors: List[int] = []
+    for k in range(1, min(rank, degree) + 1):
+        basis = degree_basis(k, degree, 1)
+        hit = _positive_hit(k, degree).basis
+        for support in itertools.combinations(range(rank), k):
+            vectors += _map_bits(hit, lambda i: idx[_embed(basis[i], support, rank)])
     return GF2Subspace(basis_dim(rank, degree), vectors)
 
 
 def is_hit(p: PolyElement) -> bool:
-    return decomposables(p.rank, p.degree).contains(p.to_coords())
+    """Whether p is hit, tested one support at a time: the part of p on
+    a support of size k, its zero exponents dropped, against the hit
+    subspace of the positive part of H^degree(BV_k)."""
+    if p.degree == 0:
+        return not p.terms  # the unit is not hit
+    parts: Dict[Tuple[int, ...], int] = {}  # support -> positive coordinates
+    for m in p.terms:
+        support = tuple(v for v, e in enumerate(m) if e)
+        bit = 1 << _basis_index(len(support), p.degree, 1)[tuple(m[v] for v in support)]
+        parts[support] = parts.get(support, 0) | bit
+    return all(_positive_hit(len(support), p.degree).contains(v) for support, v in parts.items())
 
 
 @lru_cache(maxsize=None)

@@ -51,49 +51,41 @@ def f_star(k: int, profile: Profile = Profile.full()) -> DualPoly:
     """Rank-1 transfer of b_k, as a polynomial of degree k + 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    memo = _rank1_memo(profile)
+    return _rank1(profile, _rank1_memo(profile), 0, k + 1)
 
-    def rec(i: int, rem: int) -> DualPoly:
-        if rem == 0:
-            return frozenset({ONE})
-        if (1 << i) > rem:  # every later factor contributes at least 2^i
-            return frozenset()
-        key = (i, rem)
-        if key in memo:
-            return memo[key]
-        acc = set(rec(i + 1, rem))
-        t = 1
-        while (w := (1 << i) * ((1 << t) - 1)) <= rem:
-            if i < profile(t):
-                for m in rec(i + 1, rem - w):
-                    acc ^= {mono_mul(m, xi(t, 1 << i))}
-            t += 1
-        out = frozenset(acc)
-        memo[key] = out
-        return out
 
-    return rec(0, k + 1)
+def _rank1(profile: Profile, memo: Dict[Tuple[int, int], DualPoly], i: int, rem: int) -> DualPoly:
+    """The coefficient of x^rem in the factors from i on, memoized in the
+    profile's memo (_rank1_memo)."""
+    if rem == 0:
+        return frozenset({ONE})
+    if (1 << i) > rem:  # every later factor contributes at least 2^i
+        return frozenset()
+    key = (i, rem)
+    if key in memo:
+        return memo[key]
+    acc = set(_rank1(profile, memo, i + 1, rem))
+    t = 1
+    while (w := (1 << i) * ((1 << t) - 1)) <= rem:
+        if i < profile(t):
+            for m in _rank1(profile, memo, i + 1, rem - w):
+                acc ^= {mono_mul(m, xi(t, 1 << i))}
+        t += 1
+    out = frozenset(acc)
+    memo[key] = out
+    return out
 
 
 def presentable(k: int, m: int) -> bool:
     """k+1 a sum of parts 2^s(2^t - 1) with pairwise distinct s < m <= t:
-    the partition oracle for f_star(k, E(m)) being nonzero."""
-
-    def rec(s: int, rem: int) -> bool:
-        if rem == 0:
-            return True
-        if s >= m or rem < 0:
-            return False
-        if rec(s + 1, rem):  # skip this s
-            return True
-        t = m
-        while (1 << s) * ((1 << t) - 1) <= rem:
-            if rec(s + 1, rem - (1 << s) * ((1 << t) - 1)):
-                return True
-            t += 1
-        return False
-
-    return rec(0, k + 1)
+    the partition oracle for f_star(k, E(m)) being nonzero.  Each s in
+    turn adds its part, or none, to the sums reachable so far."""
+    n = k + 1
+    reached = {0}
+    for s in range(m):
+        parts = [(1 << s) * ((1 << t) - 1) for t in range(m, n.bit_length() + 1)]
+        reached |= {r + w for r in reached for w in parts if r + w <= n}
+    return n in reached
 
 
 class TransferImage(Record):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -26,7 +27,7 @@ from steenrod_transfer.bv import (
     transvection,
 )
 from steenrod_transfer.gf2 import GF2Subspace, common_kernel
-from steenrod_transfer.milnor import Profile, Pst, generators, xi
+from steenrod_transfer.milnor import Profile, Pst, dual_basis, generators, xi
 
 from gf2_reference import reference_kernel
 
@@ -132,6 +133,27 @@ class TestRankOneAction:
         assert right_action(HElement.b(9), Pst(0, 2)).is_zero()
 
 
+def brute_expand(mu, source):
+    """expand_action by brute force: each set binary digit 2^j of each
+    exponent is left alone or owned by one xi_t of mu, where it becomes
+    2^(j+t); an assignment counts when every xi_t owns digits summing to
+    its exponent, and the targets are kept mod 2."""
+    digits = [(v, 1 << j) for v, e in enumerate(source) for j in range(e.bit_length()) if e >> j & 1]
+    owed = [e for _, e in mu]
+    out = set()
+    for owners in itertools.product(range(len(mu) + 1), repeat=len(digits)):
+        paid = [0] * len(mu)
+        target = list(source)
+        for (v, d), owner in zip(digits, owners):
+            if owner:
+                t = mu[owner - 1][0]
+                paid[owner - 1] += d
+                target[v] += d * ((1 << t) - 1)
+        if paid == owed:
+            out ^= {tuple(target)}
+    return frozenset(out)
+
+
 class TestExpandAction:
     def test_sq1_is_derivation(self):
         assert expand_action(xi(1), (1, 1)) == frozenset({(2, 1), (1, 2)})
@@ -150,6 +172,18 @@ class TestExpandAction:
     def test_top_square(self):
         # Sq^d z = z^2 in degree d
         assert expand_action(xi(1, 3), (2, 1)) == frozenset({(4, 2)})
+
+    @pytest.mark.parametrize("name", ["full", "E2"])
+    def test_matches_brute_force(self, name):
+        # every Milnor monomial up to degree 8, term by term, on every
+        # source of rank <= 3 and degree <= 12
+        prof = {"full": Profile.full(), "E2": Profile.E(2)}[name]
+        for d in range(9):
+            for mu in dual_basis(prof, d):
+                for rank in (1, 2, 3):
+                    for degree in range(13):
+                        for source in degree_basis(rank, degree):
+                            assert expand_action(mu, source) == brute_expand(mu, source)
 
 
 class TestActionMatrix:

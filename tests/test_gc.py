@@ -1,0 +1,38 @@
+"""The recursive helpers of the action, the squares and the transfer leave
+no reference cycles behind: a helper written as a nested function that
+calls itself holds itself through its closure, so every call would leave
+garbage that only the cyclic collector frees."""
+
+import gc
+
+from steenrod_transfer import bv
+from steenrod_transfer.bv import HElement, right_action
+from steenrod_transfer.cobar import h_monomials
+from steenrod_transfer.hit import PolyElement, sq
+from steenrod_transfer.milnor import Profile, Pst
+from steenrod_transfer.transfer import f_star, presentable
+
+
+def test_hot_helpers_leave_no_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for s in range(3):
+            for t in range(1, 4):
+                op = Pst(s, t)
+                for k in range(op.degree, 64):
+                    right_action(HElement.b(k), op)
+                    right_action(HElement.b(k), op.dual)
+        for rank in (2, 3, 4):
+            for degree in range(1, 12):
+                bv._pst_rows(rank, degree, 0, 1, 0)
+                bv._pst_rows(rank, degree, 1, 1, 1)
+        for i in range(12):
+            sq(i, PolyElement.x(3, 0, 5))
+        for k in range(40):
+            f_star.__wrapped__(k, Profile.E(2))  # without its lru_cache
+            presentable(k, 2)
+        h_monomials(Profile.E(2), 3, 12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -135,6 +135,18 @@ class TestDecomposables:
             hit_codim = total - decomposables(4, degree).dim
             assert hit_codim == annihilated_subspace(Profile.full(), 4, degree).dim
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(0, 12))
+    def test_is_hit_matches_decomposables(self, data, rank, degree):
+        # a few monomials over several supports, zero exponents included
+        # (in degree 0 the unit), plus squares of monomials, which are hit
+        basis = degree_basis(rank, degree)
+        p = PolyElement(rank, degree, data.draw(st.sets(st.sampled_from(basis), max_size=4)))
+        for i in data.draw(st.lists(st.integers(1, degree), max_size=3) if degree else st.just([])):
+            mono = data.draw(st.sampled_from(degree_basis(rank, degree - i)))
+            p = p ^ sq(i, PolyElement(rank, degree - i, {mono}))
+        assert is_hit(p) == decomposables(rank, degree).contains(p.to_coords())
+
     def test_decomposables_is_operator_stable(self):
         # applying any Sq to a hit class keeps it hit
         sub = decomposables(2, 6)
