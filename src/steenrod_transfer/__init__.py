@@ -33,7 +33,6 @@ from .bv import (
 )
 from .cobar import (
     class_of,
-    cohomology,
     cohomology_dim,
     differential,
     is_cocycle,
@@ -67,7 +66,6 @@ __all__ = [
     "basis_dim",
     "chi_sq",
     "class_of",
-    "cohomology",
     "cohomology_dim",
     "coinvariant_quotient",
     "coproduct",

@@ -64,6 +64,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -72,7 +73,6 @@ from typing import (
 
 from .gf2 import GF2Matrix, GF2Subspace, common_kernel
 from .milnor import Profile, Pst, Xi, dual_basis, generators, mono_degree
-from .record import Record, init_field
 
 __all__ = [
     "Monomial",
@@ -155,11 +155,16 @@ def coords_to_terms(rank: int, degree: int, v: int) -> FrozenSet[Monomial]:
     return frozenset(terms)
 
 
-class GradedElement(Record):
-    """A homogeneous element of rank and degree fixed, as a set of exponent
-    tuples with coefficients in GF(2).  Equal only within one subclass."""
+_set_field = object.__setattr__
 
-    __slots__ = ("rank", "degree", "terms")
+
+class GradedElement:
+    """A homogeneous element of rank and degree fixed, as a set of exponent
+    tuples with coefficients in GF(2).  Immutable, equal only within one
+    subclass, and hashed and pickled by its fields.  Not a tuple: a
+    tuple's +, *, len and in would give wrong answers on a GF(2) vector."""
+
+    __slots__ = _fields = ("rank", "degree", "terms")
 
     def __init__(self, rank: int, degree: int, terms: Iterable[Monomial]):
         terms = frozenset(terms)
@@ -168,9 +173,21 @@ class GradedElement(Record):
                 raise ValueError(f"bad term {m} for rank {rank}")
             if sum(m) != degree:
                 raise ValueError(f"term {m} not of degree {degree}")
-        init_field(self, "rank", rank)
-        init_field(self, "degree", degree)
-        init_field(self, "terms", terms)
+        _set_field(self, "rank", rank)
+        _set_field(self, "degree", degree)
+        _set_field(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(rank={self.rank!r}, degree={self.degree!r}, terms={self.terms!r})"
+
+    def __reduce__(self):
+        return type(self), (self.rank, self.degree, self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -454,16 +471,23 @@ def _annihilated(profile: Profile, rank: int, degree: int) -> GF2Subspace:
     dim = basis_dim(rank, degree)
     if degree == 0:
         return GF2Subspace(dim, (1,))  # b_0 is killed by everything
+    return GF2Subspace(dim, _embed_supports(rank, degree, lambda k: _positive(profile, k, degree)))
+
+
+def _embed_supports(rank: int, degree: int, positive: Callable[[int], Sequence[int]]) -> List[int]:
+    """The vectors positive(k) of the positive part of each size k = 1..rank,
+    in degree_basis(k, degree, 1) coordinates, embedded over the C(rank, k)
+    supports of that size into degree_basis(rank, degree) coordinates."""
     idx = _basis_index(rank, degree)
-    vecs: List[int] = []
+    out: List[int] = []
     for k in range(1, min(rank, degree) + 1):
-        positive = _positive(profile, k, degree)
-        if not positive:
+        vecs = positive(k)
+        if not vecs:
             continue
         basis = degree_basis(k, degree, 1)
         for support in itertools.combinations(range(rank), k):
-            vecs += _map_bits(positive, lambda i: idx[_embed(basis[i], support, rank)])
-    return GF2Subspace(dim, vecs)
+            out += _map_bits(vecs, lambda i: idx[_embed(basis[i], support, rank)])
+    return out
 
 
 def _embed(term: Monomial, support: Tuple[int, ...], rank: int) -> Monomial:
@@ -696,20 +720,15 @@ def gl_act(g: GLMatrix, x: HElement) -> HElement:
 # coinvariants ---------------------------------------------------------
 
 
-class CoinvariantPresentation(Record):
+class CoinvariantPresentation(NamedTuple):
     """A GL-stable subspace P of H_degree together with its coinvariant
     quotient P / span{p + g p}."""
 
-    __slots__ = ("rank", "degree", "space", "relations", "reps")
-
-    def __init__(
-        self, rank: int, degree: int, space: GF2Subspace, relations: GF2Subspace, reps: GF2Subspace
-    ):
-        init_field(self, "rank", rank)
-        init_field(self, "degree", degree)
-        init_field(self, "space", space)
-        init_field(self, "relations", relations)
-        init_field(self, "reps", reps)
+    rank: int
+    degree: int
+    space: GF2Subspace
+    relations: GF2Subspace
+    reps: GF2Subspace
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .bv import (
     HElement,
@@ -39,7 +39,6 @@ from .cobar import (
 from .gf2 import GF2Subspace
 from .hit import PolyElement, apply_op, chi_sq, is_hit, parse_poly, parse_terms, peterson_wood
 from .milnor import Profile, Pst, frobenius, generators, xi
-from .record import Record, init_field
 from .stratr import is_invariant, parse_r_text, same_s_excluded
 from .transfer import f_star, presentable, transfer_chain, transfer_class
 
@@ -52,23 +51,17 @@ __all__ = [
 ]
 
 
-class CheckResult(Record):
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        init_field(self, "name", name)
-        init_field(self, "passed", passed)
-        init_field(self, "detail", detail)
+class CheckResult(NamedTuple):
+    name: str
+    passed: bool
+    detail: str = ""
 
 
-class CriterionReport(Record):
-    __slots__ = ("name", "passed", "elapsed", "checks")
-
-    def __init__(self, name: str, passed: bool, elapsed: float, checks: Tuple[CheckResult, ...]):
-        init_field(self, "name", name)
-        init_field(self, "passed", passed)
-        init_field(self, "elapsed", elapsed)
-        init_field(self, "checks", checks)
+class CriterionReport(NamedTuple):
+    name: str
+    passed: bool
+    elapsed: float
+    checks: Tuple[CheckResult, ...]
 
     def lines(self) -> List[str]:
         verdict = "PASS" if self.passed else "FAIL"

@@ -71,7 +71,6 @@ __all__ = [
     "cell_basis",
     "differential_matrix",
     "cohomology_dim",
-    "cohomology",
     "is_primitive",
     "HMono",
     "h_monomials",
@@ -276,32 +275,18 @@ def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix
     return GF2Matrix(rows, len(src))
 
 
-def cohomology(
-    profile: Profile, length: int, degree: int
-) -> Tuple[int, Tuple[WordSum, ...]]:
-    """Dimension plus representative cocycles for one bidegree.
-
-    Kernel vectors of the outgoing differential are reduced modulo the
-    boundary subspace; the nonzero reductions stay cocycles, stay fixed
-    under further reduction, and so form a basis of the quotient.
-    """
-    if length == 0:
-        return (1, (frozenset({()}),)) if degree == 0 else (0, ())
-    basis = cell_basis(profile, length, degree)
-    cycles = differential_matrix(profile, length, degree).kernel()
-    boundaries = GF2Subspace(
-        len(basis), differential_matrix(profile, length - 1, degree).columns()
-    )
-    reps = GF2Subspace(len(basis), [boundaries.reduce(z) for z in cycles.basis])
-    words = tuple(
-        frozenset(basis[i] for i in range(len(basis)) if v >> i & 1)
-        for v in reps.basis
-    )
-    return reps.dim, words
-
-
 def cohomology_dim(profile: Profile, length: int, degree: int) -> int:
-    return cohomology(profile, length, degree)[0]
+    """dim ker d_length - dim im d_{length-1} in one degree, from the ranks
+    of the cached differential matrices."""
+    if length == 0:
+        return int(degree == 0)
+    d_out = differential_matrix(profile, length, degree)
+    d_in = differential_matrix(profile, length - 1, degree)
+    return d_out.ncols - _rank(d_out) - _rank(d_in)
+
+
+def _rank(mat: GF2Matrix) -> int:
+    return GF2Subspace(mat.ncols, mat.rows).dim
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .bv import GradedElement, Monomial, basis_dim, degree_basis, terms_to_coords
-from .bv import _basis_index, _embed, _map_bits  # coordinates of the support summands
+from .bv import _basis_index, _embed_supports  # coordinates of the support summands
 from .gf2 import GF2Matrix, GF2Subspace
 
 __all__ = [
@@ -63,6 +63,8 @@ class PolyElement(GradedElement):
         return cls(len(exponents), sum(exponents), frozenset({tuple(exponents)}))
 
     def __mul__(self, other: "PolyElement") -> "PolyElement":
+        if not isinstance(other, PolyElement):
+            return NotImplemented
         if self.rank != other.rank:
             raise ValueError("mismatched rank")
         acc: Set[Monomial] = set()
@@ -148,13 +150,7 @@ def decomposables(rank: int, degree: int) -> GF2Subspace:
     """The hit subspace (A^+ H^*)_degree of H^degree(BV_rank): the hit
     subspace of each positive part (_positive_hit) embedded over every
     support of its size."""
-    idx = _basis_index(rank, degree)
-    vectors: List[int] = []
-    for k in range(1, min(rank, degree) + 1):
-        basis = degree_basis(k, degree, 1)
-        hit = _positive_hit(k, degree).basis
-        for support in itertools.combinations(range(rank), k):
-            vectors += _map_bits(hit, lambda i: idx[_embed(basis[i], support, rank)])
+    vectors = _embed_supports(rank, degree, lambda k: _positive_hit(k, degree).basis)
     return GF2Subspace(basis_dim(rank, degree), vectors)
 
 

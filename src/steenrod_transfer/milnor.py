@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from functools import lru_cache
 from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
-
-from .record import Record, init_field
 
 __all__ = [
     "Xi",
@@ -197,17 +196,17 @@ class Pst(NamedTuple):
         return xi(self.t, 1 << self.s)
 
 
-class Profile(Record):
+class Profile(namedtuple("Profile", "heads tail tail_value")):
     """Non-decreasing h: {1,2,...} -> {0,1,...,inf}.
 
     heads give h(1..len(heads)); past them the tail rule applies:
     "const" with tail_value (None = infinity), or "diag" with h(t) = t.
-    Stored normalized, so equal functions compare equal.
+    Stored normalized, so equal functions are equal tuples.
     """
 
-    __slots__ = ("heads", "tail", "tail_value")
+    __slots__ = ()
 
-    def __init__(self, heads: Tuple[int, ...] = (), tail: str = "const", tail_value: Optional[int] = None):
+    def __new__(cls, heads: Tuple[int, ...] = (), tail: str = "const", tail_value: Optional[int] = None):
         if tail not in ("const", "diag"):
             raise ValueError(f"unknown tail rule {tail!r}")
         if tail == "diag" and tail_value is not None:
@@ -224,23 +223,16 @@ class Profile(Record):
             if implied is None or heads[-1] != implied:
                 break
             heads.pop()
-        init_field(self, "heads", tuple(heads))
-        init_field(self, "tail", tail)
-        init_field(self, "tail_value", tail_value)
-        vals = [self(t) for t in range(1, len(self.heads) + 2)]
+        self = super().__new__(cls, tuple(heads), tail, tail_value)
+        vals = [self(t) for t in range(1, len(heads) + 2)]
         if any(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"profile not non-decreasing: {vals}")
+        return self
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is Profile
-            and self.heads == other.heads
-            and self.tail == other.tail
-            and self.tail_value == other.tail_value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.heads, self.tail, self.tail_value))
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Profile":
+        # the namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*fields)
 
     def __call__(self, t: int) -> Union[int, float]:
         if t < 1:
@@ -364,34 +356,24 @@ def _generators_below(profile: Profile, bits: int) -> Tuple[Tuple[Pst, ...], Tup
 
 @lru_cache(maxsize=None)
 def dual_basis(profile: Profile, degree: int) -> Tuple[Xi, ...]:
-    """All monomials of the quotient algebra in the given degree."""
+    """All monomials of the quotient algebra in the given degree, built
+    from the top xi_t down; xi_1 has degree 1, so its exponent is the
+    degree left over."""
     if degree < 0:
         return ()
     tmax = 0
     while (1 << (tmax + 1)) - 1 <= degree:
         tmax += 1
-    out: List[Xi] = []
+    partial = [((), degree)]  # (pairs above t, ascending; degree left)
+    for t in range(tmax, 1, -1):
+        w = (1 << t) - 1
+        h = profile(t)
+        cap = degree if h == math.inf else (1 << int(h)) - 1
+        partial = [
+            (((t, e),) + acc if e else acc, rem - e * w)
+            for acc, rem in partial
+            for e in range(min(rem // w, cap) + 1)
+        ]
     h1 = profile(1)
     cap1 = degree if h1 == math.inf else (1 << int(h1)) - 1
-
-    def rec(t: int, remaining: int, acc: List[Tuple[int, int]]):
-        if t == 1:
-            # xi_1 has degree 1, so its exponent is the degree left over
-            if remaining <= cap1:
-                head = ((1, remaining),) if remaining else ()
-                out.append(head + tuple(reversed(acc)))
-            return
-        w = (1 << t) - 1
-        emax = remaining // w
-        h = profile(t)
-        if h != math.inf:
-            emax = min(emax, (1 << int(h)) - 1)
-        for e in range(emax + 1):
-            if e:
-                acc.append((t, e))
-            rec(t - 1, remaining - e * w, acc)
-            if e:
-                acc.pop()
-
-    rec(max(tmax, 1), degree, [])
-    return tuple(sorted(out))
+    return tuple(sorted(((1, rem),) + acc if rem else acc for acc, rem in partial if rem <= cap1))

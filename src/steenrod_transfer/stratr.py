@@ -80,42 +80,30 @@ def _submasks(e: int):
 
 
 def _sq_any_mono(budget: int, mono: RMonomial) -> RElement:
-    """Sq^budget on one monomial by distributing 2-powers over copies."""
-    groups = sorted(Counter(mono).items(), reverse=True)
-    acc: Set[RMonomial] = set()
-
-    def rec(i: int, rem: int, built: List[Tuple[int, int]]):
-        if i == len(groups):
-            if rem == 0:
-                m = _canonical(built)
-                if not _killed(m):
-                    acc.symmetric_difference_update({m})
-            return
-        (t, s), e = groups[i]
-        up_ok = t - 1 > s + 1  # h_{t-1,s+1} exists
+    """Sq^budget on one monomial by distributing 2-powers over copies, one
+    group of equal generators at a time."""
+    partial: List[Tuple[RMonomial, int]] = [((), budget)]  # (built so far, budget left)
+    for (t, s), e in sorted(Counter(mono).items(), reverse=True):
+        ups = tuple(_submasks(e)) if t - 1 > s + 1 else (0,)  # h_{t-1,s+1} exists
         down_ok = t - 1 > s  # h_{t-1,s} exists
-        for a in _submasks(e):
-            if a and not up_ok:
-                continue
-            cost_a = a << s
-            if cost_a > rem:
-                continue
-            for b in _submasks(e - a):
-                if b and not down_ok:
+        nxt = []
+        for built, rem in partial:
+            for a in ups:
+                cost_a = a << s
+                if cost_a > rem:
                     continue
-                cost = cost_a + (b << (s + t - 1))
-                if cost > rem:
-                    continue
-                rec(
-                    i + 1,
-                    rem - cost,
-                    built
-                    + [(t, s)] * (e - a - b)
-                    + [(t - 1, s + 1)] * a
-                    + [(t - 1, s)] * b,
-                )
-
-    rec(0, budget, [])
+                for b in _submasks(e - a) if down_ok else (0,):
+                    cost = cost_a + (b << (s + t - 1))
+                    if cost <= rem:
+                        grown = ((t, s),) * (e - a - b) + ((t - 1, s + 1),) * a + ((t - 1, s),) * b
+                        nxt.append((built + grown, rem - cost))
+        partial = nxt
+    acc: Set[RMonomial] = set()
+    for built, rem in partial:
+        if rem == 0:
+            m = _canonical(built)
+            if not _killed(m):
+                acc.symmetric_difference_update({m})
     return frozenset(acc)
 
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .bv import HElement
 from .cobar import WordSum, class_of, is_cocycle
 from .milnor import ONE, DualPoly, Profile, mono_mul, xi
-from .record import Record, init_field
 
 __all__ = [
     "f_star",
@@ -88,7 +87,7 @@ def presentable(k: int, m: int) -> bool:
     return n in reached
 
 
-class TransferImage(Record):
+class TransferImage(NamedTuple):
     """Image of a homology element in the length-rank cobar cell.
 
     degree is the cobar degree, homology degree + rank; factors holds
@@ -96,15 +95,10 @@ class TransferImage(Record):
     expansion.
     """
 
-    __slots__ = ("rank", "degree", "words", "factors")
-
-    def __init__(
-        self, rank: int, degree: int, words: WordSum, factors: FrozenSet[Tuple[DualPoly, ...]]
-    ):
-        init_field(self, "rank", rank)
-        init_field(self, "degree", degree)
-        init_field(self, "words", words)
-        init_field(self, "factors", factors)
+    rank: int
+    degree: int
+    words: WordSum
+    factors: FrozenSet[Tuple[DualPoly, ...]]
 
     def is_zero(self) -> bool:
         return not self.words

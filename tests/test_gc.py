@@ -1,15 +1,16 @@
-"""The recursive helpers of the action, the squares and the transfer leave
-no reference cycles behind: a helper written as a nested function that
+"""The recursive helpers of the action, the squares, the transfer, the
+dual basis and the limit algebra leave no reference cycles behind: a helper written as a nested function that
 calls itself holds itself through its closure, so every call would leave
 garbage that only the cyclic collector frees."""
 
 import gc
 
-from steenrod_transfer import bv
+from steenrod_transfer import bv, checks
 from steenrod_transfer.bv import HElement, right_action
 from steenrod_transfer.cobar import h_monomials
 from steenrod_transfer.hit import PolyElement, sq
-from steenrod_transfer.milnor import Profile, Pst
+from steenrod_transfer.milnor import Profile, Pst, dual_basis
+from steenrod_transfer.stratr import is_invariant, parse_r_text
 from steenrod_transfer.transfer import f_star, presentable
 
 
@@ -33,6 +34,9 @@ def test_hot_helpers_leave_no_cycles():
             f_star.__wrapped__(k, Profile.E(2))  # without its lru_cache
             presentable(k, 2)
         h_monomials(Profile.E(2), 3, 12)
+        for d in range(13):
+            dual_basis.__wrapped__(Profile.E(2), d)  # without its lru_cache
+        is_invariant(parse_r_text(checks.Z_12_80), 6)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -21,6 +21,12 @@ def test_equal_only_within_a_class():
     assert transfer_chain(h) == transfer_chain(HElement.b(1, 2))
 
 
+def test_profile_stays_normalized():
+    assert Profile.E(2)._replace(heads=(0, 2)) == Profile.E(2)
+    with pytest.raises(ValueError):
+        Profile.E(2)._replace(tail="diag")
+
+
 def test_immutable():
     for obj, name in ((HElement.b(3), "terms"), (PolyElement.x(3), "rank"), (Profile.full(), "tail")):
         with pytest.raises(AttributeError):
@@ -34,13 +40,13 @@ def test_immutable():
 def test_repr():
     assert repr(CheckResult("a", True)) == "CheckResult(name='a', passed=True, detail='')"
     assert repr(Profile.full()) == "Profile(heads=(), tail='const', tail_value=None)"
+    assert repr(HElement.b(1, 2)) == "HElement(rank=2, degree=3, terms=frozenset({(1, 2)}))"
 
 
-def test_pickle_roundtrip():
-    # a forked worker of the CLI sends its results back pickled
+def _records():
     check = CheckResult("a", True, "x")
     space = annihilated_subspace(Profile.E(2), 2, 11)
-    records = [
+    return [
         HElement.b(1, 2),
         PolyElement.x(1, 2),
         Profile.E(2),
@@ -50,7 +56,32 @@ def test_pickle_roundtrip():
         check,
         CriterionReport("c", False, 0.25, (check, CheckResult("b", False))),
     ]
-    for obj in records:
+
+
+def test_hash_is_the_hash_of_the_fields():
+    # set iteration orders, and so every printed output, rest on these hashes
+    for obj in _records():
+        assert hash(obj) == hash(tuple(getattr(obj, name) for name in type(obj)._fields))
+
+
+def test_graded_elements_are_not_sequences():
+    # a tuple's +, *, len and in would give wrong answers on a GF(2) vector
+    for obj in (HElement.b(1, 2), PolyElement.x(1, 2)):
+        with pytest.raises(TypeError):
+            obj + obj
+        with pytest.raises(TypeError):
+            obj * 2
+        with pytest.raises(TypeError):
+            2 * obj
+        with pytest.raises(TypeError):
+            len(obj)
+        with pytest.raises(TypeError):
+            (1, 2) in obj
+
+
+def test_pickle_roundtrip():
+    # a forked worker of the CLI sends its results back pickled
+    for obj in _records():
         loaded = pickle.loads(pickle.dumps(obj))
         assert type(loaded) is type(obj)
         assert loaded == obj and hash(loaded) == hash(obj)
