@@ -177,6 +177,17 @@ class GradedElement:
         _set_field(self, "degree", degree)
         _set_field(self, "terms", terms)
 
+    @classmethod
+    def _unchecked(cls, rank: int, degree: int, terms: FrozenSet[Monomial]):
+        """The element of terms that the library itself produced, of this
+        rank and degree by construction, so not checked again: the
+        constructor is for terms from outside."""
+        self = object.__new__(cls)
+        _set_field(self, "rank", rank)
+        _set_field(self, "degree", degree)
+        _set_field(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
 
@@ -202,7 +213,7 @@ class GradedElement:
 
     @classmethod
     def zero(cls, rank: int, degree: int):
-        return cls(rank, degree, frozenset())
+        return cls._unchecked(rank, degree, frozenset())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -210,14 +221,14 @@ class GradedElement:
     def __xor__(self, other):
         if (self.rank, self.degree) != (other.rank, other.degree):
             raise ValueError("rank/degree mismatch")
-        return type(self)(self.rank, self.degree, self.terms ^ other.terms)
+        return self._unchecked(self.rank, self.degree, self.terms ^ other.terms)
 
     def to_coords(self) -> int:
         return terms_to_coords(self.rank, self.degree, self.terms)
 
     @classmethod
     def from_coords(cls, rank: int, degree: int, v: int):
-        return cls(rank, degree, coords_to_terms(rank, degree, v))
+        return cls._unchecked(rank, degree, coords_to_terms(rank, degree, v))
 
 
 class HElement(GradedElement):
@@ -227,7 +238,9 @@ class HElement(GradedElement):
 
     @classmethod
     def b(cls, *exponents: int) -> "HElement":
-        return cls(len(exponents), sum(exponents), frozenset({tuple(exponents)}))
+        if min(exponents, default=0) < 0:
+            raise ValueError(f"negative exponent in {exponents}")
+        return cls._unchecked(len(exponents), sum(exponents), frozenset({exponents}))
 
     def to_dict(self) -> dict:
         return {
@@ -431,13 +444,13 @@ def right_action(x: HElement, op: Operation) -> HElement:
         out: set = set()
         for source in x.terms:
             out.symmetric_difference_update(_pst_image(source, op.s, op.t))
-        return HElement(x.rank, x.degree - op.degree, frozenset(out))
+        return HElement._unchecked(x.rank, x.degree - op.degree, frozenset(out))
     k = mono_degree(op)
     hits = set()
     for target in degree_basis(x.rank, x.degree - k):
         if len(expand_action(op, target) & x.terms) & 1:
             hits.add(target)
-    return HElement(x.rank, x.degree - k, frozenset(hits))
+    return HElement._unchecked(x.rank, x.degree - k, frozenset(hits))
 
 
 def annihilated_subspace(
@@ -607,7 +620,7 @@ def is_D_annihilated_rank1(k: int) -> bool:
 
 def kameko_sq0(x: HElement) -> HElement:
     """Doubling map b_E -> b_{2E+1} on every exponent."""
-    return HElement(
+    return HElement._unchecked(
         x.rank,
         2 * x.degree + x.rank,
         frozenset(tuple(2 * e + 1 for e in m) for m in x.terms),
@@ -714,7 +727,7 @@ def gl_act(g: GLMatrix, x: HElement) -> HElement:
     out: set = set()
     for term in x.terms:
         out ^= _gl_term(cols, term)
-    return HElement(x.rank, x.degree, frozenset(out))
+    return HElement._unchecked(x.rank, x.degree, frozenset(out))
 
 
 # coinvariants ---------------------------------------------------------

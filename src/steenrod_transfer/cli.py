@@ -5,12 +5,15 @@ Four subcommands: `annihilated` prints the annihilated subspace of one
 image and class of each basis element, `verify` runs a named check
 suite, and `table` sweeps a degree range into CSV.  Nothing is written
 to disk; every cell is computed afresh.  `verify` runs its criteria and
-`table` its degrees in forked worker processes, one per available CPU,
-and prints the results in the order of the input.
+`table` its degrees in forked worker processes, one per available CPU:
+of n workers, item k runs in worker k mod n, which sends its result back
+down a pipe.  No pool or thread is started, and the results are printed
+in the order of the input.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (raised while parsing), 3 budget exceeded, 4 internal error (a
-ValueError inside a command: a fault of the program, not its input).
+ValueError inside a command, or a worker that ended without sending its
+result: a fault of the program, not its input).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import gc
 import json
 import os
 import sys
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .bv import (
     HElement,
@@ -127,14 +130,18 @@ def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
     """Yield fn(item) for each item, in the order of items.
 
     The items are shared out among forked worker processes, one per CPU
-    this process may run on and at most one per item; fn must be a
-    module-level function and its results picklable.  An exception that
-    fn raises in a worker is raised here.  With one worker or without
-    os.fork this is the plain map, in this process.  A forked worker
-    inherits the imported package, where the spawn and forkserver start
-    methods would import it again.  Forking is safe because the command
-    line starts no thread, and the executor forks every worker before it
-    starts its own.
+    this process may run on and at most one per item: of n workers, item
+    k runs in worker k mod n, which writes it down its own pipe as an
+    8-byte length and a pickle, where it is read in turn.  No pool or
+    thread is started.  fn must be a module-level function and its
+    results picklable.  An exception that fn raises in a worker is raised
+    here; a worker that ends without sending a result raises
+    ChildProcessError, naming its signal or exit status.  Either way the
+    workers still running are killed; every worker is reaped.  With one
+    worker or without os.fork this is the plain map, in this process.  A
+    forked worker inherits the imported package, where a fresh
+    interpreter would import it again; forking is safe because the
+    command line starts no thread.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -144,18 +151,91 @@ def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
     if workers < 2 or not hasattr(os, "fork"):
         yield from map(fn, items)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
 
-    # what the workers inherit is then left out of their collections, which
-    # would otherwise traverse it and copy every page it is on
-    gc.freeze()
+    # a line still buffered would otherwise be written again by each worker
+    sys.stdout.flush()
+    pids: List[int] = []
+    pipes: list = []
+    done = False
     try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            yield from pool.map(fn, items)
+        # what the workers inherit is then left out of their collections,
+        # which would otherwise traverse it and copy every page it is on
+        gc.freeze()
+        try:
+            for w in range(workers):
+                r, wr = os.pipe()
+                pipes.append(open(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if not pid:
+                        _serve(fn, items[w::workers], wr, pipes)
+                    pids.append(pid)
+                finally:
+                    # held open by a later worker, it would never give EOF
+                    os.close(wr)
+        finally:
+            gc.unfreeze()
+        for k in range(len(items)):
+            w = k % workers
+            header = pipes[w].read(8)
+            size = int.from_bytes(header, "little")
+            data = pipes[w].read(size)
+            if len(header) < 8 or len(data) < size:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                pids[w] = 0
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"worker {w + 1} of {workers} {how} before sending its result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield value
+        done = True
     finally:
-        gc.unfreeze()
+        # killed before their pipes close, they cannot fail writing to them
+        for pid in filter(None, pids):
+            if not done:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _serve(fn: Callable, share: Sequence, fd: int, inherited: list) -> None:
+    """A worker's whole life: for each item of share, the pickle of
+    (True, fn(item)), or of (False, the exception) and then no more,
+    written to fd after its length.  Ends the process; never returns."""
+    import pickle
+
+    code = 1
+    try:
+        # the parent's ends of the pipes, its own among them: held here,
+        # they would keep a write from failing once the parent is gone,
+        # and the worker would block on a full pipe for ever
+        for pipe in inherited:
+            pipe.close()
+        with open(fd, "wb") as out:
+            for item in share:
+                try:
+                    result = (True, fn(item))
+                except Exception as e:
+                    result = (False, e)
+                data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+                if not result[0]:
+                    break
+        code = 0
+    except Exception:  # a result or exception that does not pickle
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
 
 
 def _word_json(word: Tuple) -> dict:
@@ -346,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, ChildProcessError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
 

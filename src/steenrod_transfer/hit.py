@@ -71,7 +71,7 @@ class PolyElement(GradedElement):
         for a in self.terms:
             for b in other.terms:
                 acc ^= {tuple(p + q for p, q in zip(a, b))}
-        return PolyElement(self.rank, self.degree + other.degree, frozenset(acc))
+        return PolyElement._unchecked(self.rank, self.degree + other.degree, frozenset(acc))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -113,7 +113,7 @@ def sq(i: int, p: PolyElement) -> PolyElement:
     acc: Set[Monomial] = set()
     for mono in p.terms:
         acc ^= _sq_mono(i, mono)
-    return PolyElement(p.rank, p.degree + i, frozenset(acc))
+    return PolyElement._unchecked(p.rank, p.degree + i, frozenset(acc))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +30,23 @@ def run_cli_python(code):
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# ends with the code of the command, after printing whether a child was left
+NO_CHILD_LEFT = (
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "    print('a child left')\n"
+    "except ChildProcessError:\n"
+    "    print('no child left')\n"
+    "sys.exit(rc)\n"
+)
 
 
 class TestParsing:
@@ -271,7 +288,7 @@ class TestWorkers:
         serial = self.reports(capsys, "lemmas")
         assert with_workers == serial
         assert [c["name"] for c in serial[1]] == list(SUITES["lemmas"])
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_table_same_rows_with_and_without_workers(self, capsys, monkeypatch):
         argv = ["table", "--algebra", "A", "--rank", "3", "--degree-range", "1..12"]
@@ -281,7 +298,7 @@ class TestWorkers:
             assert main(argv) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "error, rc, prefix",
@@ -299,14 +316,14 @@ class TestWorkers:
         assert main(["verify", "lemmas"]) == rc
         err = capsys.readouterr().err
         assert f"{prefix}raised in a worker" in err.splitlines()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_no_worker_left_after_a_failed_suite(self, capsys, monkeypatch):
         set_cpus(monkeypatch, 2)
         monkeypatch.setitem(checks.CRITERIA, "kameko-frobenius", lambda: [CheckResult("no", False)])
         assert main(["verify", "lemmas"]) == 1
         assert "FAIL  kameko-frobenius" in capsys.readouterr().out
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_each_line_printed_once_to_a_pipe(self):
         # a line still buffered when the workers fork must not be written
@@ -323,6 +340,43 @@ class TestWorkers:
         assert lines.count("before the workers") == 1
         verdicts = [line.split()[1] for line in lines if line.startswith(("PASS", "FAIL"))]
         assert verdicts == list(SUITES["lemmas"])
+
+    def test_no_pool_modules_imported(self):
+        # the workers are forked over plain pipes: no multiprocessing, no
+        # executor and its threads
+        proc = run_cli_python(
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from steenrod_transfer.cli import main\n"
+            "rc = main(['verify', 'lemmas'])\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+            + NO_CHILD_LEFT
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", "no child left"]
+
+    def test_killed_worker_is_an_internal_error(self):
+        # not exit 1, which would say that a check failed; no hang, no child left
+        proc = run_cli_python(
+            "import os, signal, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from steenrod_transfer import checks\n"
+            "from steenrod_transfer.cli import main\n"
+            "parent = os.getpid()\n"
+            "def killed():\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return []\n"
+            "checks.CRITERIA['kameko-frobenius'] = killed\n"
+            "rc = main(['verify', 'lemmas'])\n"
+            + NO_CHILD_LEFT
+        )
+        assert proc.returncode == 4, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("internal error: ")]
+        assert len(errors) == 1, proc.stderr
+        assert f"killed by signal {int(signal.SIGKILL)}" in errors[0]
+        assert proc.stdout.splitlines()[-1] == "no child left"
+        assert "FAIL" not in proc.stdout
 
     def test_one_criterion_forks_nothing(self):
         proc = run_cli_python(

@@ -21,6 +21,18 @@ def test_equal_only_within_a_class():
     assert transfer_chain(h) == transfer_chain(HElement.b(1, 2))
 
 
+def test_elements_check_outside_terms():
+    # elements the library computes skip the checks; those built from
+    # given terms or exponents do not
+    with pytest.raises(ValueError):
+        HElement.b(2, -1)
+    with pytest.raises(ValueError):
+        HElement(2, 3, {(1, 1)})
+    with pytest.raises(ValueError):
+        PolyElement(2, 3, {(3,)})
+    assert HElement.from_coords(2, 3, 0b1010) == HElement(2, 3, {(1, 2), (3, 0)})
+
+
 def test_profile_stays_normalized():
     assert Profile.E(2)._replace(heads=(0, 2)) == Profile.E(2)
     with pytest.raises(ValueError):
