@@ -18,7 +18,6 @@ predicted pattern, 1 otherwise.
 import argparse
 import pathlib
 import sys
-from dataclasses import dataclass
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -27,34 +26,27 @@ from steenrod_transfer.milnor import Profile
 from steenrod_transfer.transfer import f_star, presentable
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    max_degree: int = 400
-    max_m: int = 4
-    max_a: int = 6
-
-
-def probe_window(cfg: ProbeConfig) -> bool:
+def probe_window(max_degree: int, max_m: int) -> bool:
     ok = True
-    for m in range(1, cfg.max_m + 1):
+    for m in range(1, max_m + 1):
         profile = Profile.E(m)
         mismatches = [
             k
-            for k in range(1, cfg.max_degree + 1)
+            for k in range(1, max_degree + 1)
             if bool(f_star(k, profile)) != presentable(k, m)
         ]
         if mismatches:
             ok = False
             print(f"m={m}: predicate disagrees at degrees {mismatches[:10]}")
         else:
-            alive = sum(1 for k in range(1, cfg.max_degree + 1) if f_star(k, profile))
-            print(f"m={m}: predicate matches through {cfg.max_degree} ({alive} alive)")
+            alive = sum(1 for k in range(1, max_degree + 1) if f_star(k, profile))
+            print(f"m={m}: predicate matches through {max_degree} ({alive} alive)")
     return ok
 
 
-def probe_spikes(cfg: ProbeConfig) -> bool:
+def probe_spikes(max_a: int) -> bool:
     ok = True
-    for a in range(2, cfg.max_a + 1):
+    for a in range(2, max_a + 1):
         rows = []
         for i in range(a - 1):
             k = (1 << a) * (2 * (1 << i) - 1) - 1
@@ -75,7 +67,7 @@ def probe_spikes(cfg: ProbeConfig) -> bool:
     return ok
 
 
-def probe_types(cfg: ProbeConfig, degree: int) -> bool:
+def probe_types(degree: int) -> bool:
     profile = Profile.E(2)
     alive = [k for k in range(1, degree + 1) if f_star(k, profile)]
     types = sorted(
@@ -106,14 +98,12 @@ def main(argv=None) -> int:
     ap.add_argument("--max-a", type=int, default=6)
     ap.add_argument("--degree", type=int, default=17, help="degree for the types probe")
     ns = ap.parse_args(argv)
-
-    cfg = ProbeConfig(max_degree=ns.max_degree, max_m=ns.max_m, max_a=ns.max_a)
     if ns.probe == "window":
-        ok = probe_window(cfg)
+        ok = probe_window(ns.max_degree, ns.max_m)
     elif ns.probe == "spikes":
-        ok = probe_spikes(cfg)
+        ok = probe_spikes(ns.max_a)
     else:
-        ok = probe_types(cfg, ns.degree)
+        ok = probe_types(ns.degree)
     return 0 if ok else 1
 
 

@@ -17,7 +17,6 @@ Usage:
 import argparse
 import pathlib
 import sys
-from dataclasses import dataclass
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -29,28 +28,18 @@ from steenrod_transfer.bv import (
 )
 from steenrod_transfer.cli import parse_algebra, parse_degree_range
 from steenrod_transfer.cobar import hclass_str
-from steenrod_transfer.milnor import Profile
 from steenrod_transfer.transfer import transfer_class
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    profile: Profile
-    rank: int
-    degrees: range
-    with_classes: bool = False
-    csv: bool = False
-
-
-def row(cfg: TableConfig, degree: int):
-    total = basis_dim(cfg.rank, degree)
-    kernel = annihilated_subspace(cfg.profile, cfg.rank, degree)
-    quo = coinvariant_quotient(kernel, cfg.rank, degree)
+def row(profile, rank: int, degree: int, with_classes: bool):
+    total = basis_dim(rank, degree)
+    kernel = annihilated_subspace(profile, rank, degree)
+    quo = coinvariant_quotient(kernel, rank, degree)
     classes = []
-    if cfg.with_classes and cfg.profile.is_elementary():
+    if with_classes and profile.is_elementary():
         seen = set()
         for v in kernel.basis:
-            cls = transfer_class(HElement.from_coords(cfg.rank, degree, v), cfg.profile)
+            cls = transfer_class(HElement.from_coords(rank, degree, v), profile)
             if cls and cls not in seen:
                 seen.add(cls)
                 classes.append(hclass_str(cls))
@@ -65,22 +54,15 @@ def main(argv=None) -> int:
     ap.add_argument("--classes", action="store_true", help="list transfer classes")
     ap.add_argument("--csv", action="store_true")
     ns = ap.parse_args(argv)
+    profile, degrees = parse_algebra(ns.algebra), parse_degree_range(ns.degrees)
 
-    cfg = TableConfig(
-        profile=parse_algebra(ns.algebra),
-        rank=ns.rank,
-        degrees=parse_degree_range(ns.degrees),
-        with_classes=ns.classes,
-        csv=ns.csv,
-    )
-
-    if cfg.csv:
+    if ns.csv:
         print("degree,total_dim,annihilated_dim,coinvariant_dim,classes")
     else:
         print(f"{'d':>4} {'H_d':>6} {'ann':>5} {'coinv':>5}  classes")
-    for d in cfg.degrees:
-        total, ann, coinv, classes = row(cfg, d)
-        if cfg.csv:
+    for d in degrees:
+        total, ann, coinv, classes = row(profile, ns.rank, d, ns.classes)
+        if ns.csv:
             print(f"{d},{total},{ann},{coinv},{'|'.join(classes)}")
         else:
             tail = "  " + "; ".join(classes) if classes else ""

@@ -131,17 +131,16 @@ def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
 
     The items are shared out among forked worker processes, one per CPU
     this process may run on and at most one per item: of n workers, item
-    k runs in worker k mod n, which writes it down its own pipe as an
-    8-byte length and a pickle, where it is read in turn.  No pool or
-    thread is started.  fn must be a module-level function and its
-    results picklable.  An exception that fn raises in a worker is raised
-    here; a worker that ends without sending a result raises
-    ChildProcessError, naming its signal or exit status.  Either way the
-    workers still running are killed; every worker is reaped.  With one
-    worker or without os.fork this is the plain map, in this process.  A
-    forked worker inherits the imported package, where a fresh
-    interpreter would import it again; forking is safe because the
-    command line starts no thread.
+    k runs in worker k mod n, which writes it down its own pipe as a
+    pickle, where it is read in turn.  No pool or thread is started.  fn
+    must be a module-level function and its results picklable.  An
+    exception that fn raises in a worker is raised here; a worker that
+    ends without sending a result raises ChildProcessError, naming its
+    signal or exit status.  Either way the workers still running are
+    killed; every worker is reaped.  With one worker or without os.fork
+    this is the plain map, in this process.  A forked worker inherits the
+    imported package, where a fresh interpreter would import it again;
+    forking is safe because the command line starts no thread.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -178,15 +177,13 @@ def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
             gc.unfreeze()
         for k in range(len(items)):
             w = k % workers
-            header = pipes[w].read(8)
-            size = int.from_bytes(header, "little")
-            data = pipes[w].read(size)
-            if len(header) < 8 or len(data) < size:
+            try:
+                ok, value = pickle.load(pipes[w])
+            except (EOFError, pickle.UnpicklingError):
                 code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
                 pids[w] = 0
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise ChildProcessError(f"worker {w + 1} of {workers} {how} before sending its result")
-            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             yield value
@@ -206,7 +203,7 @@ def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
 def _serve(fn: Callable, share: Sequence, fd: int, inherited: list) -> None:
     """A worker's whole life: for each item of share, the pickle of
     (True, fn(item)), or of (False, the exception) and then no more,
-    written to fd after its length.  Ends the process; never returns."""
+    written to fd.  Ends the process; never returns."""
     import pickle
 
     code = 1
@@ -222,8 +219,7 @@ def _serve(fn: Callable, share: Sequence, fd: int, inherited: list) -> None:
                     result = (True, fn(item))
                 except Exception as e:
                     result = (False, e)
-                data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-                out.write(len(data).to_bytes(8, "little") + data)
+                out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
                 out.flush()
                 if not result[0]:
                     break

@@ -388,3 +388,31 @@ class TestWorkers:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+
+class TestLayering:
+    """The package root re-exports nothing, so importing a module loads
+    only the modules it depends on, in a fresh interpreter."""
+
+    ALL = {"gf2", "milnor", "bv", "cobar", "transfer", "hit", "stratr", "checks", "cli"}
+    LOADS = {
+        "": set(),
+        ".gf2": {"gf2"},
+        ".milnor": {"milnor"},
+        ".stratr": {"stratr"},
+        ".bv": {"gf2", "milnor", "bv"},
+        ".cobar": {"gf2", "milnor", "cobar"},
+        ".transfer": {"gf2", "milnor", "bv", "cobar", "transfer"},
+        ".hit": {"gf2", "milnor", "bv", "hit"},
+        ".checks": ALL - {"cli"},
+        ".cli": ALL,
+    }
+
+    @pytest.mark.parametrize("module", sorted(LOADS), ids=lambda m: "steenrod_transfer" + m)
+    def test_import_loads_only_its_layers(self, module):
+        proc = run_cli_python(
+            f"import sys, steenrod_transfer{module}\n"
+            "print(*(m.split('.')[1] for m in sys.modules if m.startswith('steenrod_transfer.')))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == self.LOADS[module]
