@@ -463,15 +463,20 @@ def annihilated_subspace(
     """Elements of H_degree(BV_rank) killed by the profile's algebra.
 
     exhaustive=True intersects the kernels (common_kernel) of every Milnor
-    basis element of positive degree: the definition, and the reference.
-    matrix swaps in another action-matrix source for it, e.g. a timed
-    wrapper.  The default computes the positive parts once per rank and
-    embeds them over every support (_annihilated).
+    basis element of positive degree, one at a time, so that each is
+    applied to what the ones before it left: the definition, and the
+    reference.  matrix swaps in another action-matrix source for it, e.g.
+    a timed wrapper.  The default computes the positive parts once per
+    rank and embeds them over every support (_annihilated).
     """
     if exhaustive:
         make = matrix if matrix is not None else action_matrix
-        ops = [m for d in range(1, degree + 1) for m in dual_basis(profile, d)]
-        return common_kernel((make(op, rank, degree) for op in ops), basis_dim(rank, degree))
+        dim = basis_dim(rank, degree)
+        basis = [1 << j for j in range(dim)]
+        for op in (m for d in range(1, degree + 1) for m in dual_basis(profile, d)):
+            shape = basis_dim(rank, degree - mono_degree(op))
+            basis = common_kernel([shape], lambda k: make(op, rank, degree).rows, dim, basis).basis
+        return GF2Subspace(dim, basis)
     return _annihilated(profile, rank, degree)
 
 
@@ -519,12 +524,12 @@ def _map_bits(vectors: Iterable[int], target: Callable[[int], int]) -> List[int]
     for v in vectors:
         w = 0
         while v:
-            low = v & -v
-            bit = moved.get(low)
+            i = v.bit_length() - 1
+            bit = moved.get(i)
             if bit is None:
-                bit = moved[low] = 1 << target(low.bit_length() - 1)
+                bit = moved[i] = 1 << target(i)
             w |= bit
-            v ^= low
+            v ^= 1 << i
         out.append(w)
     return out
 
@@ -540,10 +545,12 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
     - mu(degree) == rank and degree = 2h + rank with h > 0: doubling
       b_E -> b_{2E+1} (kameko_sq0) is an isomorphism from all of
       H_h(BV_rank) (Kameko 1990), and its image is positive.
-    Otherwise the kernels of the generators are intersected, starting
-    from the closed-form basis of ker Sq^1 (_sq1_kernel) when Sq^1 is one
-    of them.  P_t^s acts as 0 on H_degree when 2^(s+t) > degree (its
-    excess 2^s is above the degree of the target), so those are skipped.
+    Otherwise common_kernel maps the start basis through every generator
+    at once and eliminates the stacked images in one pass.  The start is
+    the closed-form basis of ker Sq^1 (_sq1_kernel), at most rank terms a
+    vector, when Sq^1 is a generator.  P_t^s acts as 0 on H_degree when
+    2^(s+t) > degree (its excess 2^s is above the degree of the target),
+    so those are skipped.
     """
     if profile.is_full():
         if (degree + rank).bit_count() > rank:  # mu(degree) > rank
@@ -561,9 +568,17 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
     start = None
     if ops[:1] == [Pst(0, 1)]:
         ops, start = ops[1:], _sq1_kernel(rank, degree)
-    dim = basis_dim(rank, degree, 1)
-    mats = (GF2Matrix(_pst_rows(rank, degree - op.degree, op.s, op.t, 1), dim) for op in ops)
-    return common_kernel(mats, dim, start).basis
+        if not start:
+            return ()
+    # row counts: the positive part in degree degree - |P_t^s| >= 1 has
+    # basis_dim's C(degree - |P_t^s| - 1, rank - 1), counted inline since
+    # it runs for every generator of every cell
+    return common_kernel(
+        [math.comb(degree - op.degree - 1, rank - 1) for op in ops],
+        lambda k: _pst_rows(rank, degree - ops[k].degree, ops[k].s, ops[k].t, 1),
+        basis_dim(rank, degree, 1),
+        start,
+    ).basis
 
 
 def _sq1_kernel(rank: int, degree: int) -> List[int]:
@@ -790,12 +805,12 @@ def coinvariant_quotient(space: GF2Subspace, rank: int, degree: int) -> Coinvari
             w = v
             rest = v
             while rest:
-                low = rest & -rest
-                img = images.get(low)
+                i = rest.bit_length() - 1
+                img = images.get(i)
                 if img is None:
-                    img = images[low] = image(basis[low.bit_length() - 1], idx)
+                    img = images[i] = image(basis[i], idx)
                 w ^= img
-                rest ^= low
+                rest ^= 1 << i
             if not space.contains(w):
                 raise ValueError("subspace is not GL-stable")
             vecs.append(w)

@@ -117,8 +117,8 @@ def _reduced_coproduct(slot: Slot, profile: Profile) -> Dict[Xi, Set[Xi]]:
 
 class _Lefts:
     """The left monomials met under one profile, numbered for the group
-    masks, each with chi of it projected to the profile (empty for 1).
-    Entries are only appended, so a memoised mask keeps its meaning."""
+    masks, each with chi of it projected to the profile.  Entries are only
+    appended, so a memoised mask keeps its meaning."""
 
     def __init__(self, profile: Profile):
         self.profile = profile
@@ -129,7 +129,7 @@ class _Lefts:
         i = self.index.get(m)
         if i is None:
             i = self.index[m] = len(self.heads)
-            self.heads.append(frozenset() if m == ONE else self.profile.project(antipode(m)))
+            self.heads.append(self.profile.project(antipode(m)))
         return 1 << i
 
 
@@ -147,12 +147,14 @@ def _collect(
 ) -> None:
     """Walk the coproduct choices of the slots after the first len(rights),
     multiplying their lefts into left mod 2, and XOR the finished left
-    sums into groups[rights] as masks over the profile's left index."""
+    sums into groups[rights] as masks over the profile's left index.  A
+    left 1 heads a (1 | w) term, which d discards, so it gets no bit."""
     v = len(rights)
     if v == len(slots):
         mask = groups.pop(rights, 0)
         for m in left:
-            mask ^= index.bit(m)
+            if m != ONE:
+                mask ^= index.bit(m)
         if mask:
             groups[rights] = mask
         return

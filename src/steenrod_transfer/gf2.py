@@ -7,12 +7,24 @@ kept in reduced row echelon form so equal subspaces compare equal.
 A row's pivot is its lowest set bit, and _eliminate is the one
 elimination routine: _rref (behind GF2Subspace) and common_kernel
 (behind kernel) both reduce vectors with it against a dict of pivot
-rows keyed by that bit.
+rows.  Every dict keyed by a bit, here and in bv, is keyed by its column
+index j, never by the bit 1 << j itself, which is as wide as the space
+and would be hashed again on every lookup.  A loop over the set bits of
+a vector that may take them in any order takes the highest first,
+j = v.bit_length() - 1, which costs fewer big-int operations than the
+lowest.
+
+The budget (set_bit_budget) bounds the bits one step holds at once,
+each int counted as wide as its top bit can reach: rows x cols for a
+GF2Matrix, and for common_kernel its stacked images with their sources
+plus the rows and columns of one block.  It is checked before they are
+allocated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import sys
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "GF2Matrix",
@@ -22,9 +34,9 @@ __all__ = [
     "set_bit_budget",
 ]
 
-# rows*cols guard for a single matrix; keeps runaway degree/rank requests
-# from allocating silly amounts of memory.
-_BIT_BUDGET = 1 << 26
+# bits held at once: A r5 d30's kernel step holds at most 2^30.6, d31's
+# just over 2^31
+_BIT_BUDGET = 1 << 31
 
 
 class BudgetError(Exception):
@@ -32,7 +44,8 @@ class BudgetError(Exception):
 
 
 def set_bit_budget(bits: int) -> int:
-    """Set the global rows*cols budget, returning the previous value."""
+    """Set the global budget of bits held at once, returning the previous
+    value."""
     global _BIT_BUDGET
     if bits <= 0:
         raise ValueError("budget must be positive")
@@ -41,47 +54,57 @@ def set_bit_budget(bits: int) -> int:
     return old
 
 
-def _check_budget(nrows: int, ncols: int) -> None:
-    if nrows * ncols > _BIT_BUDGET:
-        raise BudgetError(
-            f"matrix of {nrows}x{ncols} bits exceeds budget {_BIT_BUDGET}"
-        )
-
-
-def _eliminate(pivots: Dict[int, int], v: int, mask: int = -1) -> int:
-    """Reduce v against pivots, keyed by their lowest set bit, while v & mask
-    is nonzero.  If the lowest bit of v is free, v is stored there as a new
-    pivot and 0 is returned; otherwise the reduced v is returned."""
-    while v & mask:
-        low = v & -v
-        p = pivots.get(low)
+def _eliminate(pivots: Dict[int, int], v: int, limit: int = sys.maxsize) -> int:
+    """Reduce v against pivots, keyed by the column of their lowest set bit,
+    while v's lowest set bit is below column limit.  If that column is
+    free, v is stored there as a new pivot and 0 is returned; otherwise
+    the reduced v is returned."""
+    while v:
+        j = (v & -v).bit_length() - 1
+        if j >= limit:
+            break
+        p = pivots.get(j)
         if p is None:
-            pivots[low] = v
+            pivots[j] = v
             return 0
         v ^= p
     return v
 
 
 def _rref(rows: Iterable[int]) -> Tuple[Dict[int, int], int]:
-    """Reduced row echelon form: the nonzero rows keyed by their pivot bit,
-    in pivot order, and the union of the pivot bits."""
+    """Reduced row echelon form: the nonzero rows keyed by their pivot
+    column, in pivot order, and the union of the pivot bits."""
     pivots: Dict[int, int] = {}
     for r in rows:
         _eliminate(pivots, r)
-    # the keys are distinct powers of two, so their sum is their union
-    pivot_bits = sum(pivots)
+    order = sorted(pivots)
+    pivot_bits = sum(1 << j for j in order)
     # a row holds only bits above its pivot, so reducing from the highest
     # pivot down leaves each row free of every other pivot bit
-    order = sorted(pivots)
-    for low in reversed(order):
-        v = pivots[low]
-        hits = (v & pivot_bits) ^ low
+    for j in reversed(order):
+        v = pivots[j]
+        hits = (v & pivot_bits) ^ (1 << j)  # all but v's own pivot
         while hits:
-            bit = hits & -hits
-            v ^= pivots[bit]
-            hits ^= bit
-        pivots[low] = v
-    return {low: pivots[low] for low in order}, pivot_bits
+            k = hits.bit_length() - 1
+            v ^= pivots[k]
+            hits ^= 1 << k
+        pivots[j] = v
+    return {j: pivots[j] for j in order}, pivot_bits
+
+
+def _columns(rows: Iterable[int], ncols: int) -> List[int]:
+    """Column j of the rows as a bitset over them: the image of basis
+    vector j."""
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        if r.bit_length() > ncols:
+            raise ValueError("row has bits outside the column range")
+        bit = 1 << i
+        while r:
+            j = r.bit_length() - 1
+            cols[j] |= bit
+            r ^= 1 << j
+    return cols
 
 
 class GF2Matrix:
@@ -97,7 +120,8 @@ class GF2Matrix:
         for r in rows:
             if r < 0 or r & ~mask:
                 raise ValueError("row has bits outside the column range")
-        _check_budget(len(rows), ncols)
+        if len(rows) * ncols > _BIT_BUDGET:
+            raise BudgetError(f"matrix of {len(rows)}x{ncols} bits exceeds budget {_BIT_BUDGET}")
         self.rows = rows
         self.ncols = ncols
 
@@ -120,14 +144,7 @@ class GF2Matrix:
 
     def columns(self) -> List[int]:
         """Column j as a bitset over the rows: the image of basis vector j."""
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= bit
-                r &= r - 1
-        return cols
+        return _columns(self.rows, self.ncols)
 
     def transpose(self) -> "GF2Matrix":
         return GF2Matrix(self.columns(), self.nrows)
@@ -142,45 +159,75 @@ class GF2Matrix:
 
     def kernel(self) -> "GF2Subspace":
         """Null space {v : M.mul_vec(v) == 0} as a subspace of F2^ncols."""
-        return common_kernel([self], self.ncols)
+        return common_kernel([self.nrows], lambda k: self.rows, self.ncols)
 
 
 def common_kernel(
-    mats: Iterable[GF2Matrix], ncols: int, start: Optional[Iterable[int]] = None
+    shapes: Sequence[int],
+    rows: Callable[[int], Sequence[int]],
+    ncols: int,
+    start: Optional[Iterable[int]] = None,
 ) -> "GF2Subspace":
-    """{v in start : M.mul_vec(v) == 0 for every M}, the kernel of the
-    matrices' rows stacked into one, computed one matrix at a time.
+    """{v in start : every block's rows times v are 0}, the kernel of the
+    blocks' rows stacked into one.
 
     start is a basis of the subspace to begin from, all of F2^ncols by
-    default.  The current kernel basis is pushed through the next matrix
-    through its columns; each image, with its source vector carried above
-    bit nrows, is eliminated until its image bits are zero or it becomes
-    a pivot.  The source parts of the vectors whose image cancels span
-    the next kernel.
+    default; it is meant to be sparse.  Block k has shapes[k] rows over
+    ncols bits, which rows(k) builds when the block is reached, in order.
+    Each start vector is mapped through each block by the block's
+    columns, and its images, block after block, with the vector itself
+    above them, make one stacked vector.  The stacked vectors are
+    eliminated in one pass until their image bits are zero or they become
+    pivots; the source parts of those whose images cancel span the
+    kernel.  When the images so far have distinct lowest bits they are
+    independent, so the kernel is 0 and no later block is built.
     """
     basis = [1 << j for j in range(ncols)] if start is None else list(start)
-    for mat in mats:
-        if mat.ncols != ncols:
-            raise ValueError("column count mismatch")
-        if not basis:
-            break
-        cols = mat.columns()
-        shift = mat.nrows
-        image_mask = (1 << shift) - 1
-        pivots: Dict[int, int] = {}
-        survivors = []
-        for b in basis:
+    held = len(basis) * (sum(shapes) + ncols) + 2 * max(shapes, default=0) * ncols
+    if held > _BIT_BUDGET:
+        raise BudgetError(
+            f"kernel step of {len(basis)} vectors over {sum(shapes)}+{ncols} bits"
+            f" holds {held}, over budget {_BIT_BUDGET}"
+        )
+    stack = [0] * len(basis)
+    shift = 0
+    for k, nrows in enumerate(shapes):
+        # before the first block only an empty start passes
+        if (k or not basis) and _independent(stack):
+            return GF2Subspace(ncols, ())
+        cols = _columns(rows(k), ncols)
+        for i, b in enumerate(basis):
             img = 0
-            rest = b
-            while rest:
-                low = rest & -rest
-                img ^= cols[low.bit_length() - 1]
-                rest ^= low
-            v = _eliminate(pivots, img | (b << shift), image_mask)
-            if v:
-                survivors.append(v >> shift)
-        basis = survivors
-    return GF2Subspace(ncols, basis)
+            while b:
+                j = b.bit_length() - 1
+                img ^= cols[j]
+                b ^= 1 << j
+            stack[i] |= img << shift
+        del cols  # before the next block's rows are built
+        shift += nrows
+    # each stacked vector is dropped once eliminated, and the pivots before
+    # the kernel's RREF, so that one stack is held at a time
+    pivots: Dict[int, int] = {}
+    survivors = []
+    for i, b in enumerate(basis):
+        v = _eliminate(pivots, stack[i] | b << shift, shift)
+        stack[i] = 0
+        if v:
+            survivors.append(v >> shift)
+    del pivots
+    return GF2Subspace(ncols, survivors)
+
+
+def _independent(vectors: List[int]) -> bool:
+    """Whether the vectors are nonzero with distinct lowest bits, which
+    makes them independent."""
+    seen = set()
+    for v in vectors:
+        j = (v & -v).bit_length()
+        if not j or j in seen:
+            return False
+        seen.add(j)
+    return True
 
 
 class GF2Subspace:
@@ -221,9 +268,9 @@ class GF2Subspace:
         rows = self._rows
         hits = v & self._pivot_bits
         while hits:
-            bit = hits & -hits
-            v ^= rows[bit]
-            hits ^= bit
+            j = hits.bit_length() - 1
+            v ^= rows[j]
+            hits ^= 1 << j
         return v
 
     def contains(self, v: int) -> bool:
@@ -238,7 +285,7 @@ class GF2Subspace:
         hits = v & pivot_bits
         out = 0
         while hits:
-            bit = hits & -hits
-            out |= 1 << (pivot_bits & (bit - 1)).bit_count()
-            hits ^= bit
+            j = hits.bit_length() - 1
+            hits ^= 1 << j
+            out |= 1 << (pivot_bits & ((1 << j) - 1)).bit_count()
         return out

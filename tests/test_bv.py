@@ -301,8 +301,9 @@ class TestAnnihilated:
 def direct_annihilated(profile, rank, degree):
     """The route without reductions: every generator's kernel, from all of
     H_degree."""
-    mats = (action_matrix(op, rank, degree) for op in generators(profile, degree))
-    return common_kernel(mats, basis_dim(rank, degree))
+    ops = generators(profile, degree)
+    shapes = [basis_dim(rank, degree - op.degree) for op in ops]
+    return common_kernel(shapes, lambda k: action_matrix(ops[k], rank, degree).rows, basis_dim(rank, degree))
 
 
 def positive_rows(op, rank, degree):
@@ -411,6 +412,34 @@ class TestReductions:
         for prof in (full, Profile.E(1), Profile.D()):
             annihilated_subspace(prof, 3, 11)
         assert calls and Pst(0, 1) not in {op for op, _ in calls}
+
+    def test_killed_start_builds_no_later_generator(self, monkeypatch):
+        # at rank 1 the positive part is b_d alone: the rows of each
+        # generator are built up to the first one that moves b_d, as one
+        # generator at a time would, and none when Sq^1 already moves it
+        import steenrod_transfer.bv as bv
+
+        calls = []
+        rows = bv._pst_rows
+
+        def record(rank, degree, s, t, least):
+            calls.append(Pst(s, t))
+            return rows(rank, degree, s, t, least)
+
+        monkeypatch.setattr(bv, "_pst_rows", record)
+        for prof in (Profile.E(1), Profile.E(2), Profile.E(3), Profile.D()):
+            for d in range(1, 130):
+                calls.clear()
+                b = HElement.b(d)
+                ops = [op for op in generators(prof, d) if 1 << (op.s + op.t) <= d]
+                want = []
+                for op in ops:
+                    if op != Pst(0, 1):
+                        want.append(op)
+                    if not right_action(b, op).is_zero():
+                        break
+                annihilated_subspace(prof, 1, d)
+                assert calls == want, (prof, d)
 
 
 class TestKappaRho:

@@ -15,7 +15,7 @@ from steenrod_transfer.gf2 import (
 )
 from steenrod_transfer.milnor import Profile
 
-from gf2_reference import reference_kernel, reference_rref
+from gf2_reference import reference_kernel, reference_kernel_on, reference_rref, sequential_kernel
 
 
 def span(vectors, ncols):
@@ -33,14 +33,34 @@ def bits(s):
 
 def rref_lists(rows):
     """_rref as (rows, pivot columns) in pivot order, the form of
-    reference_rref."""
+    reference_rref.  _rref keys each row by its pivot column."""
     pivots, pivot_bits = _rref(rows)
-    assert pivot_bits == sum(pivots)
-    return list(pivots.values()), [low.bit_length() - 1 for low in pivots]
+    assert pivot_bits == sum(1 << j for j in pivots)
+    assert all(r & -r == 1 << j for j, r in pivots.items())
+    return list(pivots.values()), list(pivots)
 
 
 def random_matrix(rng, nrows, ncols):
     return GF2Matrix([rng.getrandbits(ncols) for _ in range(nrows)], ncols)
+
+
+def kernel_of(row_lists, ncols, start=None):
+    """common_kernel of the blocks with the given rows."""
+    return common_kernel([len(rows) for rows in row_lists], row_lists.__getitem__, ncols, start)
+
+
+class Recorder:
+    """The shapes of blocks with the given rows, and a rows(k) that records
+    which blocks it built."""
+
+    def __init__(self, row_lists):
+        self.row_lists = row_lists
+        self.shapes = [len(rows) for rows in row_lists]
+        self.built = []
+
+    def rows(self, k):
+        self.built.append(k)
+        return self.row_lists[k]
 
 
 @st.composite
@@ -168,24 +188,73 @@ class TestKernel:
         assert ker.dim == 6 - GF2Subspace(6, rows).dim
 
 
+@st.composite
+def kernel_cases(draw, ncols=8):
+    """(row lists, start) for common_kernel over ncols bits.  The start is
+    all of F2^ncols (None), empty, a few sparse vectors, such vectors with
+    the sum of two of them added, or sparse vectors that a first block
+    of unit rows kills."""
+    blocks = draw(st.lists(st.lists(st.integers(0, 2**ncols - 1), max_size=5), max_size=4))
+    sparse = st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3).map(
+        lambda js: sum({1 << j for j in js})
+    )
+    kind = draw(st.sampled_from(["all", "empty", "sparse", "dependent", "killed"]))
+    if kind == "all":
+        return blocks, None
+    if kind == "empty":
+        return blocks, []
+    start = draw(st.lists(sparse, min_size=1, max_size=6))
+    if kind == "dependent":
+        i, j = draw(st.integers(0, len(start) - 1)), draw(st.integers(0, len(start) - 1))
+        start.insert(draw(st.integers(0, len(start))), start[i] ^ start[j])
+    if kind == "killed":
+        blocks = [[1 << j for j in range(ncols)]] + blocks
+    return blocks, start
+
+
 class TestCommonKernel:
+    @given(kernel_cases())
+    def test_matches_references(self, case):
+        blocks, start = case
+        got = kernel_of(blocks, 8, start).basis
+        stacked = [r for rows in blocks for r in rows]
+        basis = [1 << j for j in range(8)] if start is None else start
+        assert got == tuple(reference_kernel_on(stacked, 8, basis))
+        assert got == tuple(sequential_kernel(blocks, 8, start))
+
     @given(st.lists(st.lists(st.integers(0, 2**7 - 1), max_size=5), max_size=4))
     def test_matches_stacked_kernel(self, blocks):
-        mats = [GF2Matrix(rows, 7) for rows in blocks]
         stacked = [r for rows in blocks for r in rows]
-        assert common_kernel(mats, 7).basis == tuple(reference_kernel(stacked, 7))
+        assert kernel_of(blocks, 7).basis == tuple(reference_kernel(stacked, 7))
 
     def test_seeded_large(self):
         rng = random.Random(5)
         mats = [random_matrix(rng, n, 120) for n in (30, 0, 45, 20)]
         stacked = [r for m in mats for r in m.rows]
-        got = common_kernel(mats, 120)
+        got = kernel_of([m.rows for m in mats], 120)
         assert got.basis == tuple(reference_kernel(stacked, 120))
         assert got.dim == 120 - len(reference_rref(stacked, 120)[0])
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
-            common_kernel([GF2Matrix([1], 3), GF2Matrix([1], 4)], 3)
+            kernel_of([[1], [1 << 3]], 3)
+
+    def test_killed_start_builds_no_later_block(self):
+        # the unit rows map the start to itself, whose lowest bits differ,
+        # so after the first block the kernel is already 0
+        rec = Recorder([[1 << j for j in range(6)], [0b111111], [0b1]])
+        assert common_kernel(rec.shapes, rec.rows, 6, [0b000011, 0b100100, 0b011000]).dim == 0
+        assert rec.built == [0]
+
+    def test_empty_start_builds_no_block(self):
+        rec = Recorder([[0b1], [0b10]])
+        assert common_kernel(rec.shapes, rec.rows, 2, []).dim == 0
+        assert rec.built == []
+
+    def test_surviving_start_builds_every_block(self):
+        rec = Recorder([[0b0011], [0b0110], [0b1100]])
+        assert common_kernel(rec.shapes, rec.rows, 4, [0b0001, 0b1111]).basis == (0b1111,)
+        assert rec.built == [0, 1, 2]
 
 
 class TestTranspose:
@@ -211,3 +280,18 @@ class TestBudget:
             GF2Matrix([0] * 10, 10)  # exactly at budget is fine
         finally:
             assert set_bit_budget(old) == 100
+
+    def test_kernel_budget_fires_before_any_block_is_built(self):
+        # 3 start vectors, each stacked over 4 + 2 image rows and its 5
+        # source bits, and the rows and columns of the widest block:
+        # 3 * (6 + 5) + 2 * 4 * 5 = 73 bits held at once
+        rec = Recorder([[1, 2, 4, 8], [16, 3]])
+        old = set_bit_budget(72)
+        try:
+            with pytest.raises(BudgetError):
+                common_kernel(rec.shapes, rec.rows, 5, [1, 2, 4])
+            assert rec.built == []
+            set_bit_budget(73)
+            assert common_kernel(rec.shapes, rec.rows, 5, [1, 2, 4]).dim == 0
+        finally:
+            assert set_bit_budget(old) == 73
