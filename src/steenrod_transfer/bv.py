@@ -258,11 +258,7 @@ class HElement(GradedElement):
 # Steenrod action ------------------------------------------------------
 
 
-def _as_mono(op: Operation) -> Xi:
-    return op.dual if isinstance(op, Pst) else op
-
-
-def expand_action(op: Operation, source: Monomial) -> FrozenSet[Monomial]:
+def expand_action(mu: Xi, source: Monomial) -> FrozenSet[Monomial]:
     """Cohomology action of the Milnor basis element dual to xi^mu on x^E.
 
     Each xi_t in mu takes over a subset of the binary digits of the
@@ -275,7 +271,6 @@ def expand_action(op: Operation, source: Monomial) -> FrozenSet[Monomial]:
     xi_t, target exponents so far), kept mod 2; in one variable the xi_t
     take disjoint submasks of its exponent, each at most what it is owed.
     """
-    mu = _as_mono(op)
     states = {(tuple(e for _, e in mu), ())}
     left = sum(source)
     for ev in source:
@@ -334,7 +329,7 @@ def action_matrix(op: Operation, rank: int, degree: int) -> GF2Matrix:
     """Right action H_degree -> H_{degree-k} in basis coordinates.
 
     Row E (target basis) has bit F set iff x^F occurs in the cohomology
-    expansion of op on x^E; mul_vec then maps source to target coords.
+    expansion of op on x^E.
     A Pst is built from the closed-form rule (_pst_rows), a general Milnor
     monomial (or Pst.dual) from expand_action.
     """
@@ -504,7 +499,7 @@ def _embed_supports(rank: int, degree: int, positive: Callable[[int], Sequence[i
             continue
         basis = degree_basis(k, degree, 1)
         for support in itertools.combinations(range(rank), k):
-            out += _map_bits(vecs, lambda i: idx[_embed(basis[i], support, rank)])
+            out += _map_bits(vecs, lambda i: 1 << idx[_embed(basis[i], support, rank)])
     return out
 
 
@@ -516,19 +511,20 @@ def _embed(term: Monomial, support: Tuple[int, ...], rank: int) -> Monomial:
     return tuple(full)
 
 
-def _map_bits(vectors: Iterable[int], target: Callable[[int], int]) -> List[int]:
-    """The vectors with each bit i moved to bit target(i), computed once
-    per bit."""
-    moved: Dict[int, int] = {}
+def _map_bits(vectors: Iterable[int], image: Callable[[int], int]) -> List[int]:
+    """The vectors with each bit i replaced by the vector image(i), summed
+    over GF(2): the linear map sending basis vector i to image(i), which
+    is computed once per bit and dropped on return."""
+    images: Dict[int, int] = {}
     out = []
     for v in vectors:
         w = 0
         while v:
             i = v.bit_length() - 1
-            bit = moved.get(i)
-            if bit is None:
-                bit = moved[i] = 1 << target(i)
-            w |= bit
+            img = images.get(i)
+            if img is None:
+                img = images[i] = image(i)
+            w ^= img
             v ^= 1 << i
         out.append(w)
     return out
@@ -562,7 +558,7 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
             idx = _basis_index(rank, degree, 1)
             return _map_bits(
                 _annihilated(profile, rank, half).basis,
-                lambda i: idx[tuple(2 * e + 1 for e in low[i])],
+                lambda i: 1 << idx[tuple(2 * e + 1 for e in low[i])],
             )
     ops = [op for op in generators(profile, degree) if 1 << (op.s + op.t) <= degree]
     start = None
@@ -788,29 +784,20 @@ def coinvariant_quotient(space: GF2Subspace, rank: int, degree: int) -> Coinvari
     g over the two gl_generators, applied in closed form; stability under
     the generators is enough and is verified here.  An annihilated
     subspace is GL-stable because the two actions commute.
-    Each generator maps each basis monomial once per call: g p is the sum
-    of the images of p's bits.
+    Each generator maps the basis by one _map_bits call, so it images
+    each basis monomial once, and one generator's images are held at a
+    time.
     """
     ambient = basis_dim(rank, degree)
     if space.ambient_dim != ambient:
         raise ValueError("subspace not in the right coordinate space")
     basis = degree_basis(rank, degree)
     idx = _basis_index(rank, degree)
-    # per generator of gl_generators, the coordinates of g . b_E for each
-    # basis bit met so far
-    actions = [(_rotate, {}), (_shear, {})] if rank > 1 else []
     vecs = []
-    for v in space.basis:
-        for image, images in actions:
-            w = v
-            rest = v
-            while rest:
-                i = rest.bit_length() - 1
-                img = images.get(i)
-                if img is None:
-                    img = images[i] = image(basis[i], idx)
-                w ^= img
-                rest ^= 1 << i
+    for image in (_rotate, _shear) if rank > 1 else ():
+        moved = _map_bits(space.basis, lambda i: image(basis[i], idx))
+        for v, gv in zip(space.basis, moved):
+            w = v ^ gv
             if not space.contains(w):
                 raise ValueError("subspace is not GL-stable")
             vecs.append(w)

@@ -11,9 +11,10 @@ down a pipe.  No pool or thread is started, and the results are printed
 in the order of the input.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
-(raised while parsing), 3 budget exceeded, 4 internal error (a
-ValueError inside a command, or a worker that ended without sending its
-result: a fault of the program, not its input).
+(raised while parsing), 3 budget exceeded, 4 internal error (any other
+exception inside a command, a worker's re-raised here among them, or a
+worker that ended without sending its result: a fault of the program,
+not its input).
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .bv import (
     degree_basis,
 )
 from .checks import SUITES, run_criterion
-from .cobar import class_of, hclass_str
+from .cobar import class_of, hclass_str, is_cocycle
 from .gf2 import BudgetError
 from .milnor import Profile
-from .transfer import transfer_chain, verify_cocycle
+from .transfer import transfer_chain
 
 __all__ = ["parse_algebra", "parse_degree_range", "main"]
 
@@ -284,7 +285,7 @@ def cmd_transfer(args) -> int:
     for v in sub.basis:
         e = HElement.from_coords(args.rank, args.degree, v)
         img = transfer_chain(e, profile)
-        cocycle = verify_cocycle(img, profile)
+        cocycle = is_cocycle(img.factors, profile)
         cls = None
         if elementary and cocycle:
             cls = class_of(img.words, profile)
@@ -409,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--degree-range", type=_degree_range_arg, required=True, help="a..b, inclusive, a <= b"
     )
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_table)
     return parser
 
@@ -422,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, ChildProcessError) as e:
+    except Exception as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
 

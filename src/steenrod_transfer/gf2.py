@@ -5,20 +5,21 @@ Everything is immutable; operations return new objects.  Subspaces are
 kept in reduced row echelon form so equal subspaces compare equal.
 
 A row's pivot is its lowest set bit, and _eliminate is the one
-elimination routine: _rref (behind GF2Subspace) and common_kernel
-(behind kernel) both reduce vectors with it against a dict of pivot
-rows.  Every dict keyed by a bit, here and in bv, is keyed by its column
-index j, never by the bit 1 << j itself, which is as wide as the space
-and would be hashed again on every lookup.  A loop over the set bits of
-a vector that may take them in any order takes the highest first,
-j = v.bit_length() - 1, which costs fewer big-int operations than the
-lowest.
+elimination routine: _rref (behind GF2Subspace) and common_kernel both
+reduce vectors with it against a dict of pivot rows.  Every dict keyed
+by a bit, here and in bv, is keyed by its column index j, never by the
+bit 1 << j itself, which is as wide as the space and would be hashed
+again on every lookup.  A loop over the set bits of a vector that may
+take them in any order takes the highest first, j = v.bit_length() - 1,
+which costs fewer big-int operations than the lowest.
 
 The budget (set_bit_budget) bounds the bits one step holds at once,
 each int counted as wide as its top bit can reach: rows x cols for a
 GF2Matrix, and for common_kernel its stacked images with their sources
-plus the rows and columns of one block.  It is checked before they are
-allocated.
+plus the rows and columns of one block.  common_kernel checks it before
+it allocates them; GF2Matrix checks it when it is constructed, after its
+caller (action_matrix, differential_matrix, sq_matrix) has built every
+row.
 """
 
 from __future__ import annotations
@@ -145,21 +146,6 @@ class GF2Matrix:
     def columns(self) -> List[int]:
         """Column j as a bitset over the rows: the image of basis vector j."""
         return _columns(self.rows, self.ncols)
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.columns(), self.nrows)
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column vector: bit i of the result is <row i, v>."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
-    def kernel(self) -> "GF2Subspace":
-        """Null space {v : M.mul_vec(v) == 0} as a subspace of F2^ncols."""
-        return common_kernel([self.nrows], lambda k: self.rows, self.ncols)
 
 
 def common_kernel(

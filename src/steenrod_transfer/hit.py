@@ -20,11 +20,11 @@ and only ever evaluated, never straightened through Adem relations.
 The shorthand parser reads the compact monomial lists used for rank-4
 elements: "4433" is an exponent tuple, "11,10,5" uses commas for
 multi-digit entries, "18(53)" fixes a prefix and sums the distinct
-permutations of the parenthesized tail, "[(4422)]" sums the distinct
-permutations of the whole tuple, and a leading "(2,3)" transposes two
-slots of whatever follows.  Written sources mix these conventions
-freely, so resolution is constrained by the expected rank and degree
-and ties are broken toward single-digit readings from the left.
+permutations of the parenthesized tail, and "[(4422)]" sums the
+distinct permutations of the whole tuple.  Written sources mix these
+conventions freely, so resolution is constrained by the expected rank
+and degree and ties are broken toward single-digit readings from the
+left.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .bv import GradedElement, Monomial, basis_dim, degree_basis, terms_to_coords
 from .bv import _basis_index, _embed_supports  # coordinates of the support summands
-from .gf2 import GF2Matrix, GF2Subspace
+from .gf2 import GF2Matrix, GF2Subspace, _columns
 
 __all__ = [
     "PolyElement",
@@ -124,7 +124,7 @@ def sq_matrix(i: int, rank: int, degree: int) -> GF2Matrix:
         terms_to_coords(rank, degree + i, _sq_mono(i, mono) if i else {mono})
         for mono in degree_basis(rank, degree)
     ]
-    return GF2Matrix(cols, basis_dim(rank, degree + i)).transpose()
+    return GF2Matrix(_columns(cols, basis_dim(rank, degree + i)), len(cols))
 
 
 @lru_cache(maxsize=None)
@@ -215,12 +215,6 @@ class ParseError(ValueError):
     pass
 
 
-def _swapped(t: Monomial, i: int, j: int) -> Monomial:
-    out = list(t)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
-
-
 def _chunkings(blob: str) -> List[Tuple[int, ...]]:
     """All readings of a digit string as a run of exponents; multi-digit
     chunks may not start with 0."""
@@ -260,11 +254,6 @@ def _resolve(text: str, rank: Optional[int], degree: Optional[int]) -> Tuple[int
 
 
 def _parse_token(token: str, rank: Optional[int], degree: Optional[int]) -> Set[Monomial]:
-    m = re.fullmatch(r"\((\d+),(\d+)\)(.+)", token)
-    if m:
-        i, j = int(m.group(1)), int(m.group(2))
-        inner = _parse_token(m.group(3), rank, degree)
-        return {_swapped(t, i - 1, j - 1) for t in inner}
     m = re.fullmatch(r"\[\(([0-9,]+)\)\]", token)
     if m:
         base = _resolve(m.group(1), rank, degree)

@@ -311,14 +311,6 @@ class Profile(namedtuple("Profile", "heads tail tail_value")):
     def project(self, p: DualPoly) -> DualPoly:
         return frozenset(m for m in p if self.mono_survives(m))
 
-    def __str__(self) -> str:
-        n = max(len(self.heads) + 2, 4)
-        vals = []
-        for t in range(1, n + 1):
-            v = self(t)
-            vals.append("inf" if v == math.inf else str(v))
-        return "(" + ", ".join(vals) + ", ...)"
-
 
 def generators(profile: Profile, max_degree: int) -> Tuple[Pst, ...]:
     """The P_t^s of the profile's algebra with degree <= max_degree.

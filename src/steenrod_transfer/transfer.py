@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from .bv import HElement
-from .cobar import WordSum, class_of, is_cocycle
+from .cobar import WordSum, class_of
 from .milnor import ONE, DualPoly, Profile, mono_mul, xi
 
 __all__ = [
@@ -34,15 +34,7 @@ __all__ = [
     "TransferImage",
     "transfer_chain",
     "transfer_class",
-    "verify_cocycle",
 ]
-
-
-@lru_cache(maxsize=None)
-def _rank1_memo(profile: Profile) -> Dict[Tuple[int, int], DualPoly]:
-    """(i, rem) -> coefficient of x^rem in the factors from i on; no k
-    enters it, so every f_star of one profile shares it."""
-    return {}
 
 
 @lru_cache(maxsize=None)
@@ -50,29 +42,25 @@ def f_star(k: int, profile: Profile = Profile.full()) -> DualPoly:
     """Rank-1 transfer of b_k, as a polynomial of degree k + 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _rank1(profile, _rank1_memo(profile), 0, k + 1)
+    return _rank1(profile, 0, k + 1)
 
 
-def _rank1(profile: Profile, memo: Dict[Tuple[int, int], DualPoly], i: int, rem: int) -> DualPoly:
-    """The coefficient of x^rem in the factors from i on, memoized in the
-    profile's memo (_rank1_memo)."""
+@lru_cache(maxsize=None)
+def _rank1(profile: Profile, i: int, rem: int) -> DualPoly:
+    """The coefficient of x^rem in the factors from i on; no k enters it,
+    so every f_star of one profile shares it."""
     if rem == 0:
         return frozenset({ONE})
     if (1 << i) > rem:  # every later factor contributes at least 2^i
         return frozenset()
-    key = (i, rem)
-    if key in memo:
-        return memo[key]
-    acc = set(_rank1(profile, memo, i + 1, rem))
+    acc = set(_rank1(profile, i + 1, rem))
     t = 1
     while (w := (1 << i) * ((1 << t) - 1)) <= rem:
         if i < profile(t):
-            for m in _rank1(profile, memo, i + 1, rem - w):
+            for m in _rank1(profile, i + 1, rem - w):
                 acc ^= {mono_mul(m, xi(t, 1 << i))}
         t += 1
-    out = frozenset(acc)
-    memo[key] = out
-    return out
+    return frozenset(acc)
 
 
 def presentable(k: int, m: int) -> bool:
@@ -115,12 +103,6 @@ def transfer_chain(x: HElement, profile: Profile = Profile.full()) -> TransferIm
         for combo in itertools.product(*polys):
             words ^= {combo}
     return TransferImage(x.rank, x.degree + x.rank, frozenset(words), frozenset(factors))
-
-
-def verify_cocycle(img: TransferImage, profile: Profile) -> bool:
-    """Whether a transfer image is closed under the cobar differential,
-    computed from its slot factors."""
-    return is_cocycle(img.factors, profile)
 
 
 def transfer_class(

@@ -1,9 +1,9 @@
 """Reference GF(2) elimination for the tests: the column-scan RREF that the
-library's lowest-bit routine (gf2._eliminate) replaced, and the
+library's lowest-bit routine (gf2._eliminate) replaced, the
 block-at-a-time kernel that gf2.common_kernel's one stacked elimination
-replaced.  They share no code with the library, so results checked
-against them are checked by a second route.  Rows are ints with bit j
-the entry in column j."""
+replaced, and a matrix-vector product.  They share no code with the
+library, so results checked against them are checked by a second route.
+Rows are ints with bit j the entry in column j."""
 
 
 def reference_rref(rows, ncols):
@@ -42,6 +42,12 @@ def reference_kernel(rows, ncols):
                 v |= 1 << p
         basis.append(v)
     return reference_rref(basis, ncols)[0]
+
+
+def reference_mul_vec(rows, v):
+    """The matrix of the rows times the column vector v: bit i is the
+    parity of row i against v."""
+    return sum(1 << i for i, r in enumerate(rows) if bin(r & v).count("1") & 1)
 
 
 def reference_solve(rows, ncols, target):

@@ -29,7 +29,7 @@ from steenrod_transfer.bv import (
 from steenrod_transfer.gf2 import GF2Subspace, common_kernel
 from steenrod_transfer.milnor import Profile, Pst, dual_basis, generators, xi
 
-from gf2_reference import reference_kernel
+from gf2_reference import reference_kernel, reference_mul_vec
 
 
 def eq22_oracle(k, s, t):
@@ -195,7 +195,7 @@ class TestActionMatrix:
     def test_agrees_with_right_action(self, x, s, t):
         op = Pst(s, t)
         m = action_matrix(op, x.rank, x.degree)
-        got = m.mul_vec(x.to_coords())
+        got = reference_mul_vec(m.rows, x.to_coords())
         assert HElement.from_coords(x.rank, x.degree - op.degree, got) == right_action(x, op.dual)
 
     @settings(max_examples=20, deadline=None)
@@ -206,8 +206,9 @@ class TestActionMatrix:
         assert right_action(right_action(x, a.dual), b.dual) == HElement.from_coords(
             x.rank,
             x.degree - a.degree - b.degree,
-            action_matrix(b, x.rank, x.degree - a.degree).mul_vec(
-                action_matrix(a, x.rank, x.degree).mul_vec(x.to_coords())
+            reference_mul_vec(
+                action_matrix(b, x.rank, x.degree - a.degree).rows,
+                reference_mul_vec(action_matrix(a, x.rank, x.degree).rows, x.to_coords()),
             ),
         )
 

@@ -257,6 +257,16 @@ class TestBudgetsAndCache:
         assert "internal error: subspace is not GL-stable" in err
         assert "usage error" not in err
 
+    def test_any_exception_in_a_command_is_internal(self, capsys, monkeypatch):
+        # exit 1 would say a verification check failed
+        def broken(*args, **kwargs):
+            raise KeyError("no such monomial")
+
+        monkeypatch.setattr("steenrod_transfer.cli.annihilated_subspace", broken)
+        rc = main(["annihilated", "--algebra", "A", "--rank", "2", "--degree", "3"])
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines() == ["internal error: 'no such monomial'"]
+
     def test_writes_nothing_to_disk(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HOME", str(tmp_path))
         monkeypatch.chdir(tmp_path)
@@ -302,8 +312,13 @@ class TestWorkers:
 
     @pytest.mark.parametrize(
         "error, rc, prefix",
-        [(ValueError, 4, "internal error: "), (BudgetError, 3, "budget error: ")],
-        ids=["internal", "budget"],
+        [
+            (ValueError, 4, "internal error: "),
+            (TypeError, 4, "internal error: "),
+            (AssertionError, 4, "internal error: "),
+            (BudgetError, 3, "budget error: "),
+        ],
+        ids=["internal", "type", "assertion", "budget"],
     )
     def test_error_in_a_worker(self, capsys, monkeypatch, error, rc, prefix):
         parent = os.getpid()

@@ -242,10 +242,6 @@ class TestProfile:
         mono = xi(t, 1 << s)
         assert coproduct(mono, prof) == frozenset({(mono, ONE), (ONE, mono)})
 
-    def test_str(self):
-        assert "inf" in str(Profile.full())
-        assert str(Profile.E(2)).startswith("(0, 2, 2")
-
     def test_is_elementary_for_every_em(self):
         for m in range(1, 41):
             assert Profile.E(m).is_elementary()
