@@ -11,7 +11,9 @@ Three probes, each a wider version of one acceptance criterion:
   types    for rank 4 over E(2), classify which exponent types (k1..k4)
            contribute nonzero transfer classes in a given degree
 
-The probes print findings and exit 0 when every sweep agrees with the
+The spike family and the exponent types come from the definitions the
+criteria use, checks.spike_pairs and transfer.slot_types.  The probes
+print findings and exit 0 when every sweep agrees with the
 predicted pattern, 1 otherwise.
 """
 
@@ -22,8 +24,9 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from steenrod_transfer.bv import is_D_annihilated_rank1
+from steenrod_transfer.checks import spike_pairs
 from steenrod_transfer.milnor import Profile
-from steenrod_transfer.transfer import f_star, presentable
+from steenrod_transfer.transfer import f_star, presentable, slot_types
 
 
 def probe_window(max_degree: int, max_m: int) -> bool:
@@ -47,21 +50,16 @@ def probe_window(max_degree: int, max_m: int) -> bool:
 def probe_spikes(max_a: int) -> bool:
     ok = True
     for a in range(2, max_a + 1):
-        rows = []
-        for i in range(a - 1):
-            k = (1 << a) * (2 * (1 << i) - 1) - 1
-            el = (1 << (a + i + 1)) * (2 * (1 << (a - i - 1)) - 1) - 1
-            rows.append((i, k, el, k + el))
-        commons = {r[3] for r in rows}
+        pairs = spike_pairs(a)
+        commons = {k + el for k, el in pairs}
         closed = (1 << (2 * a + 1)) - (1 << a) - 2
         annihilated = all(
-            is_D_annihilated_rank1(k) and is_D_annihilated_rank1(el)
-            for _, k, el, _ in rows
+            is_D_annihilated_rank1(k) and is_D_annihilated_rank1(el) for k, el in pairs
         )
         good = commons == {closed} and annihilated
         ok = ok and good
         print(
-            f"a={a}: {len(rows)} pairs, common degree {sorted(commons)}, "
+            f"a={a}: {len(pairs)} pairs, common degree {sorted(commons)}, "
             f"closed form {closed}, D-annihilated {annihilated}"
         )
     return ok
@@ -70,19 +68,7 @@ def probe_spikes(max_a: int) -> bool:
 def probe_types(degree: int) -> bool:
     profile = Profile.E(2)
     alive = [k for k in range(1, degree + 1) if f_star(k, profile)]
-    types = sorted(
-        {
-            tuple(sorted(t))
-            for t in (
-                (a, b, c, d)
-                for a in alive
-                for b in alive
-                for c in alive
-                for d in alive
-            )
-            if sum(t) == degree
-        }
-    )
+    types = slot_types(profile, 4, degree)
     print(f"degree {degree}: slotwise-alive exponents {alive}")
     for t in types:
         print(f"  type {t}")

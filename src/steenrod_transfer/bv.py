@@ -62,7 +62,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -689,15 +688,6 @@ def _shear(term: Monomial, idx: Dict[Monomial, int]) -> int:
     return v
 
 
-def _compositions(k: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, parts - 1):
-            yield (first,) + rest
-
-
 def _gl_columns(g: GLMatrix) -> Tuple[Tuple[int, ...], ...]:
     """For each generator a_j, the i with g[i][j] = 1."""
     n = len(g)
@@ -706,8 +696,9 @@ def _gl_columns(g: GLMatrix) -> Tuple[Tuple[int, ...], ...]:
 
 def _gl_term(cols: Tuple[Tuple[int, ...], ...], term: Monomial) -> set:
     """Terms of g . b_term, with g given by _gl_columns: each a_j^(k) is
-    expanded over the a_i in its column and multiplied into the partial
-    products, a term dying when two divided powers collide."""
+    expanded over the a_i in its column, one term per composition of k
+    (the degree-k basis of that many slots), and multiplied into the
+    partial products, a term dying when two divided powers collide."""
     n = len(term)
     partial = {(0,) * n}
     for j in range(n):
@@ -718,7 +709,7 @@ def _gl_term(cols: Tuple[Tuple[int, ...], ...], term: Monomial) -> set:
             return set()
         nxt: set = set()
         for vec in partial:
-            for comp in _compositions(k, len(cols[j])):
+            for comp in degree_basis(len(cols[j]), k):
                 new = list(vec)
                 ok = True
                 for i, c in zip(cols[j], comp):

@@ -40,7 +40,7 @@ from .gf2 import GF2Subspace
 from .hit import PolyElement, apply_op, chi_sq, is_hit, parse_poly, parse_terms, peterson_wood
 from .milnor import Profile, Pst, frobenius, generators, xi
 from .stratr import is_invariant, parse_r_text, same_s_excluded
-from .transfer import f_star, presentable, transfer_chain, transfer_class
+from .transfer import f_star, presentable, slot_types, transfer_chain, transfer_class
 
 __all__ = [
     "CheckResult",
@@ -48,6 +48,7 @@ __all__ = [
     "CRITERIA",
     "SUITES",
     "run_criterion",
+    "spike_pairs",
 ]
 
 
@@ -131,18 +132,22 @@ def crit_rank1_action_binomial() -> List[CheckResult]:
 
 def crit_rank1_annihilation() -> List[CheckResult]:
     out = []
+    # the (k, s, t) with b_k P_t^s != 0, k <= 256; both predicates read it
+    nonzero = {
+        (k, s, t)
+        for s in range(5)
+        for t in range(1, 6)
+        for k in range((1 << s) * ((1 << t) - 1), 257)
+        if not right_action(HElement.b(k), Pst(s, t)).is_zero()
+    }
 
-    bad_vanish = []
-    for s in range(5):
-        for t in range(1, 6):
-            drop = (1 << s) * ((1 << t) - 1)
-            for k in range(257):
-                predicted_zero = k < (1 << (s + t)) or (k >> s) & 1
-                computed_zero = (
-                    k < drop or right_action(HElement.b(k), Pst(s, t)).is_zero()
-                )
-                if bool(predicted_zero) != computed_zero:
-                    bad_vanish.append((k, s, t))
+    bad_vanish = [
+        (k, s, t)
+        for s in range(5)
+        for t in range(1, 6)
+        for k in range(257)
+        if bool(k < (1 << (s + t)) or (k >> s) & 1) == ((k, s, t) in nonzero)
+    ]
     out.append(
         CheckResult(
             "vanishing-predicate",
@@ -159,8 +164,7 @@ def crit_rank1_annihilation() -> List[CheckResult]:
         for t in range(1, 6):
             drop = (1 << s) * ((1 << t) - 1)
             for k in range(257 - drop):
-                computed = not right_action(HElement.b(k + drop), Pst(s, t)).is_zero()
-                if computed != bool((k >> s) & 1):
+                if ((k + drop, s, t) in nonzero) != bool((k >> s) & 1):
                     bad_image.append((k, s, t))
     out.append(
         CheckResult(
@@ -483,17 +487,7 @@ def crit_degree17_existence() -> List[CheckResult]:
     )
 
     # monomial types all of whose slots have nontrivial image
-    alive = [k for k in range(18) if f_star(k, E2)]
-    types = sorted(
-        {
-            tuple(sorted((a, b, c, d)))
-            for a in alive
-            for b in alive
-            for c in alive
-            for d in alive
-            if a + b + c + d == 17
-        }
-    )
+    types = slot_types(E2, 4, 17)
     out.append(
         CheckResult(
             "only-nontrivial-type-is-2555",
@@ -682,14 +676,24 @@ def crit_kameko_frobenius() -> List[CheckResult]:
 # -- the paired-spike family ----------------------------------------------
 
 
+def spike_pairs(a: int) -> List[Tuple[int, int]]:
+    """The exponents (k, l) of the paired spikes b_k b_l of family a,
+    k = 2^a(2^(i+1) - 1) - 1 and l = 2^(a+i+1)(2^(a-i) - 1) - 1 for
+    i = 1..a-1: a - 1 of the family's a pairs, all of degree
+    2^(2a+1) - 2^a - 2."""
+    return [
+        (
+            (1 << a) * (2 * (1 << i) - 1) - 1,
+            (1 << (a + i + 1)) * (2 * (1 << (a - i - 1)) - 1) - 1,
+        )
+        for i in range(1, a)
+    ]
+
+
 def crit_paired_spikes() -> List[CheckResult]:
     out = []
     for a in (2, 3, 4):
-        monos = []
-        for i in range(1, a):
-            k = (1 << a) * (2 * (1 << i) - 1) - 1
-            el = (1 << (a + i + 1)) * (2 * (1 << (a - i - 1)) - 1) - 1
-            monos.append((k, el))
+        monos = spike_pairs(a)
         degrees = {k + el for k, el in monos}
         displayed = (1 << (2 * a + 1)) - (1 << a) - 1
         common = degrees.pop() if len(degrees) == 1 else None

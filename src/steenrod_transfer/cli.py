@@ -46,15 +46,18 @@ __all__ = ["parse_algebra", "parse_degree_range", "main"]
 # budgets checked before a cell is computed
 MAX_RANK = 4
 MAX_DEGREE = 40
-MAX_DEGREE_LOW_RANK = 600  # applies at rank <= 2
+# applies at rank <= 2 but not to --oracle, which enumerates and keeps
+# every Milnor basis element up to the degree
+MAX_DEGREE_LOW_RANK = 600
 
 
-def _check_budget(rank: int, degree: int) -> None:
+def _check_budget(rank: int, degree: int, oracle: bool = False) -> None:
     if rank > MAX_RANK:
         raise BudgetError(f"rank {rank} exceeds budget {MAX_RANK}")
-    max_degree = MAX_DEGREE_LOW_RANK if rank <= 2 else MAX_DEGREE
+    max_degree = MAX_DEGREE_LOW_RANK if rank <= 2 and not oracle else MAX_DEGREE
     if degree > max_degree:
-        raise BudgetError(f"degree {degree} exceeds budget {max_degree} at rank {rank}")
+        route = " with --oracle" if oracle else ""
+        raise BudgetError(f"degree {degree} exceeds budget {max_degree} at rank {rank}{route}")
 
 
 # -- argument parsing ------------------------------------------------------
@@ -244,7 +247,7 @@ def _word_json(word: Tuple) -> dict:
 
 def cmd_annihilated(args) -> int:
     profile = parse_algebra(args.algebra)
-    _check_budget(args.rank, args.degree)
+    _check_budget(args.rank, args.degree, args.oracle)
     sub = annihilated_subspace(
         profile, args.rank, args.degree, exhaustive=args.oracle
     )

@@ -187,8 +187,9 @@ def _slot_key(slot: Slot) -> Tuple[Xi, ...]:
     return (slot,) if isinstance(slot, tuple) else tuple(sorted(slot))
 
 
-def _differential(products: Iterable[SlotProduct], profile: Profile) -> WordSum:
-    """d of a sum of slot products, collecting before the antipode.
+def differential(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> WordSum:
+    """d of a word, a word sum, or a sum of slot products, collecting
+    before the antipode.
 
     Each product is sorted into its orbit's canonical order, whose
     grouped left sums come from _orbit_groups; their right-hand tuples
@@ -198,7 +199,7 @@ def _differential(products: Iterable[SlotProduct], profile: Profile) -> WordSum:
     """
     lefts = _lefts(profile)
     acc: Dict[Word, int] = {}
-    for product in products:
+    for product in (ws,) if isinstance(ws, tuple) else ws:
         identity = list(range(len(product)))
         order = sorted(identity, key=lambda i: _slot_key(product[i]))
         rights_of, masks = _orbit_groups(tuple(product[i] for i in order), profile)
@@ -219,11 +220,6 @@ def _differential(products: Iterable[SlotProduct], profile: Profile) -> WordSum:
             heads ^= lefts.heads[i]
         out.update((h,) + rights for h in heads)
     return frozenset(out)
-
-
-def differential(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> WordSum:
-    """d of a word, a word sum, or a sum of slot products."""
-    return _differential((ws,) if isinstance(ws, tuple) else ws, profile)
 
 
 def is_cocycle(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> bool:
@@ -262,7 +258,7 @@ def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix
     for j, w in enumerate(src):
         orbits.setdefault(tuple(sorted(w)), []).append(j)
     for key, members in orbits.items():
-        images = _differential((key,), profile)
+        images = differential(key, profile)
         for j in members:
             w = src[j]
             if w == key:

@@ -13,13 +13,13 @@ again on every lookup.  A loop over the set bits of a vector that may
 take them in any order takes the highest first, j = v.bit_length() - 1,
 which costs fewer big-int operations than the lowest.
 
-The budget (set_bit_budget) bounds the bits one step holds at once,
-each int counted as wide as its top bit can reach: rows x cols for a
-GF2Matrix, and for common_kernel its stacked images with their sources
-plus the rows and columns of one block.  common_kernel checks it before
-it allocates them; GF2Matrix checks it when it is constructed, after its
-caller (action_matrix, differential_matrix, sq_matrix) has built every
-row.
+The budget, the module constant _BIT_BUDGET (2^31), bounds the bits
+one step holds at once, each int counted as wide as its top bit can
+reach: rows x cols for a GF2Matrix, and for common_kernel its stacked
+images with their sources plus the rows and columns of one block.
+common_kernel checks it before it allocates them; GF2Matrix checks it
+when it is constructed, after its caller (action_matrix,
+differential_matrix, sq_matrix) has built every row.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "GF2Subspace",
     "common_kernel",
     "BudgetError",
-    "set_bit_budget",
 ]
 
 # bits held at once: A r5 d30's kernel step holds at most 2^30.6, d31's
@@ -42,17 +41,6 @@ _BIT_BUDGET = 1 << 31
 
 class BudgetError(Exception):
     """A requested object exceeds the configured size budget."""
-
-
-def set_bit_budget(bits: int) -> int:
-    """Set the global budget of bits held at once, returning the previous
-    value."""
-    global _BIT_BUDGET
-    if bits <= 0:
-        raise ValueError("budget must be positive")
-    old = _BIT_BUDGET
-    _BIT_BUDGET = bits
-    return old
 
 
 def _eliminate(pivots: Dict[int, int], v: int, limit: int = sys.maxsize) -> int:

@@ -73,14 +73,6 @@ class PolyElement(GradedElement):
                 acc ^= {tuple(p + q for p, q in zip(a, b))}
         return PolyElement._unchecked(self.rank, self.degree + other.degree, frozenset(acc))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            "".join(f"x{v + 1}^{e}" for v, e in enumerate(t) if e) or "1"
-            for t in sorted(self.terms, reverse=True)
-        )
-
 
 def _sq_mono(i: int, mono: Monomial) -> Set[Monomial]:
     """Sq^i on one monomial; Cartan over the variables, one at a time."""

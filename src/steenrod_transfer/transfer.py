@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import FrozenSet, NamedTuple, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .bv import HElement
+from .bv import HElement, degree_basis
 from .cobar import WordSum, class_of
 from .milnor import ONE, DualPoly, Profile, mono_mul, xi
 
 __all__ = [
     "f_star",
     "presentable",
+    "slot_types",
     "TransferImage",
     "transfer_chain",
     "transfer_class",
@@ -73,6 +74,14 @@ def presentable(k: int, m: int) -> bool:
         parts = [(1 << s) * ((1 << t) - 1) for t in range(m, n.bit_length() + 1)]
         reached |= {r + w for r in reached for w in parts if r + w <= n}
     return n in reached
+
+
+def slot_types(profile: Profile, rank: int, degree: int) -> List[Tuple[int, ...]]:
+    """The exponent types, sorted exponent tuples, of the b_E in
+    H_degree(BV_rank) whose every slot has a nonzero f_star; sorted."""
+    return sorted(
+        {tuple(sorted(e)) for e in degree_basis(rank, degree) if all(f_star(k, profile) for k in e)}
+    )
 
 
 class TransferImage(NamedTuple):

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from steenrod_transfer import checks
-from steenrod_transfer.checks import CRITERIA, SUITES
+from steenrod_transfer.bv import is_D_annihilated_rank1
+from steenrod_transfer.checks import CRITERIA, SUITES, spike_pairs
 from steenrod_transfer.cli import main
 from steenrod_transfer.transfer import transfer_class
 
@@ -63,3 +66,11 @@ def test_d0_representative_has_36_terms(monkeypatch):
 def test_e0_candidate_report():
     report = {c.name: c for c in checks.crit_degree17_existence()}["candidate-fixture-report"]
     assert report.detail == "44 terms, annihilated: True, class = h_{2,1}^3 h_{2,0}"
+
+
+@pytest.mark.parametrize("a", range(2, 7))
+def test_spike_pairs(a):
+    pairs = spike_pairs(a)
+    assert len(set(pairs)) == a - 1
+    assert all(is_D_annihilated_rank1(k) and is_D_annihilated_rank1(el) for k, el in pairs)
+    assert {k + el for k, el in pairs} == {(1 << (2 * a + 1)) - (1 << a) - 2}

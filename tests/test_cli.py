@@ -240,6 +240,14 @@ class TestBudgetsAndCache:
         rc = main(["annihilated", "--algebra", "A", "--rank", "2", "--degree", "41"])
         assert rc == 0
 
+    def test_oracle_degree_budget_at_every_rank(self, capsys):
+        # the oracle enumerates every Milnor basis element up to the
+        # degree, so the rank <= 2 allowance does not apply to it
+        argv = ["annihilated", "--algebra", "A", "--rank", "2", "--degree", "41"]
+        assert main(argv + ["--oracle"]) == 3
+        assert "budget" in capsys.readouterr().err
+        assert main(argv) == 0
+
     def test_bad_algebra_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["annihilated", "--algebra", "Q", "--rank", "1", "--degree", "3"])

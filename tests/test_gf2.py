@@ -5,13 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steenrod_transfer.bv import HElement, annihilated_subspace, gl_act, swap_matrix, transvection
+from steenrod_transfer import gf2
 from steenrod_transfer.gf2 import (
     BudgetError,
     GF2Matrix,
     GF2Subspace,
     _rref,
     common_kernel,
-    set_bit_budget,
 )
 from steenrod_transfer.milnor import Profile
 
@@ -278,26 +278,20 @@ class TestTranspose:
 
 
 class TestBudget:
-    def test_budget_respected(self):
-        old = set_bit_budget(100)
-        try:
-            with pytest.raises(BudgetError):
-                GF2Matrix([0] * 11, 10)
-            GF2Matrix([0] * 10, 10)  # exactly at budget is fine
-        finally:
-            assert set_bit_budget(old) == 100
+    def test_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(gf2, "_BIT_BUDGET", 100)
+        with pytest.raises(BudgetError):
+            GF2Matrix([0] * 11, 10)
+        GF2Matrix([0] * 10, 10)  # exactly at budget is fine
 
-    def test_kernel_budget_fires_before_any_block_is_built(self):
+    def test_kernel_budget_fires_before_any_block_is_built(self, monkeypatch):
         # 3 start vectors, each stacked over 4 + 2 image rows and its 5
         # source bits, and the rows and columns of the widest block:
         # 3 * (6 + 5) + 2 * 4 * 5 = 73 bits held at once
         rec = Recorder([[1, 2, 4, 8], [16, 3]])
-        old = set_bit_budget(72)
-        try:
-            with pytest.raises(BudgetError):
-                common_kernel(rec.shapes, rec.rows, 5, [1, 2, 4])
-            assert rec.built == []
-            set_bit_budget(73)
-            assert common_kernel(rec.shapes, rec.rows, 5, [1, 2, 4]).dim == 0
-        finally:
-            assert set_bit_budget(old) == 73
+        monkeypatch.setattr(gf2, "_BIT_BUDGET", 72)
+        with pytest.raises(BudgetError):
+            common_kernel(rec.shapes, rec.rows, 5, [1, 2, 4])
+        assert rec.built == []
+        monkeypatch.setattr(gf2, "_BIT_BUDGET", 73)
+        assert common_kernel(rec.shapes, rec.rows, 5, [1, 2, 4]).dim == 0

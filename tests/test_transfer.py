@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from steenrod_transfer.bv import (
 )
 from steenrod_transfer.cobar import class_of, differential, is_cocycle, wordsum_degree
 from steenrod_transfer.milnor import Profile, frobenius, mono_degree, mono_mul, xi
-from steenrod_transfer.transfer import f_star, transfer_chain, transfer_class
+from steenrod_transfer.transfer import f_star, slot_types, transfer_chain, transfer_class
 
 FULL = Profile.full()
 E1, E2, E3 = Profile.E(1), Profile.E(2), Profile.E(3)
@@ -197,3 +199,19 @@ class TestChain:
         img = transfer_chain(HElement.b(1, 2, 3, 8), FULL)
         assert len(differential(img.factors, FULL)) == 67
         assert not is_cocycle(img.factors, FULL)
+
+
+class TestSlotTypes:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "prof", [FULL, E1, E2, E3, Profile.D()], ids=["full", "E1", "E2", "E3", "D"]
+    )
+    def test_matches_product_over_alive_exponents(self, prof, rank):
+        top = 18
+        alive = [k for k in range(top + 1) if f_star(k, prof)]
+        types = {}
+        for e in itertools.product(alive, repeat=rank):
+            if sum(e) <= top:
+                types.setdefault(sum(e), set()).add(tuple(sorted(e)))
+        for degree in range(top + 1):
+            assert slot_types(prof, rank, degree) == sorted(types.get(degree, ()))
