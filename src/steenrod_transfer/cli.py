@@ -320,7 +320,7 @@ def cmd_transfer(args) -> int:
             f"[{args.algebra}], dim {sub.dim}"
         )
         for e, img, cocycle, cls in rows:
-            tag = "zero" if img.is_zero() else f"{len(img.words)} words"
+            tag = "zero" if img.is_zero() else f"{img.word_count()} words"
             line = f"  {e} -> {tag}, cocycle: {cocycle}"
             if cls is not None:
                 line += f", class: {hclass_str(cls) if cls else '0'}"

@@ -14,21 +14,24 @@ the unit.  Words made of primitive letters are automatically cocycles.
 The differential is computed on sums of slot products (p_1 | ... | p_n),
 where each slot holds a monomial or a whole polynomial; a word is the
 case of monomial slots.  Each slot's coproduct is formed and cancelled
-mod 2 once, the left products of all choices are grouped by their
-right-hand tuple and cancelled mod 2, and since chi is linear it is then
-applied, with the profile projection, once per surviving left rather
-than once per choice.
+mod 2 once, and the left products of all choices are cancelled mod 2
+per right-hand tuple.  The monomials met under a profile are numbered
+once, the lefts (each with chi of it, projected) and the right-hand
+letters apart, so the terms before chi are held as one set of numbered
+right-hand tuples per left number.  A sum of products XORs those sets,
+and since chi is linear it is then applied, with the profile
+projection, once per surviving left rather than once per choice.
 
-The grouped left sums are computed once per orbit of slot products
-under permuting the slots.  A_* is commutative, so chi(a_1' ... a_n')
-does not depend on the slot order, and for a permutation sigma
+The sets are computed once per orbit of slot products under permuting
+the slots.  A_* is commutative, so chi(a_1' ... a_n') does not depend
+on the slot order, and for a permutation sigma
 
     d(sigma . P) = (1 | sigma) . d(P):
 
 the same heads over the same right-hand tuples, with the tuples
 permuted.  A product is therefore sorted into a canonical slot order
 (a monomial by itself, a polynomial by its sorted monomials, which no
-hash seed affects), the groups of the sorted product are memoised, and
+hash seed affects), the sets of the sorted product are memoised, and
 each product maps them back by permuting their right-hand tuples.
 
 For the profiles E(m) the cohomology is polynomial on classes h_{t,s}
@@ -46,7 +49,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from .gf2 import GF2Matrix, GF2Subspace
 from .milnor import (
@@ -105,58 +108,65 @@ def wordsum_degree(ws: WordSum) -> Optional[Tuple[int, int]]:
     return shapes.pop()
 
 
-def _reduced_coproduct(slot: Slot, profile: Profile) -> Dict[Xi, Set[Xi]]:
-    """Delta(slot) mod 2 as right side -> lefts, dropping the (a, 1) terms."""
-    by_right: Dict[Xi, Set[Xi]] = {}
+def _reduced_coproduct(slot: Slot, profile: Profile) -> Dict[int, Set[Xi]]:
+    """Delta(slot) mod 2 as right number -> lefts, dropping the (a, 1)
+    terms."""
+    num = _rights(profile).__getitem__
+    by_right: Dict[int, Set[Xi]] = {}
     for m in (slot,) if isinstance(slot, tuple) else slot:
         for a, b in coproduct(m, profile):
             if b != ONE:
-                by_right.setdefault(b, set()).symmetric_difference_update((a,))
+                by_right.setdefault(num(b), set()).symmetric_difference_update((a,))
     return {b: lefts for b, lefts in by_right.items() if lefts}
 
 
-class _Lefts:
-    """The left monomials met under one profile, numbered for the group
-    masks, each with chi of it projected to the profile.  Entries are only
-    appended, so a memoised mask keeps its meaning."""
+class _Numbering(dict):
+    """The monomials met under one profile, mapped to their numbers in
+    order of arrival; looking up a new one numbers it and computes its
+    value once.  Entries are only appended, so a memoised number keeps
+    its meaning."""
 
-    def __init__(self, profile: Profile):
-        self.profile = profile
-        self.index: Dict[Xi, int] = {}
-        self.heads: List[FrozenSet[Xi]] = []
+    def __init__(self, value: Callable[[Xi], object]):
+        super().__init__()
+        self.value = value
+        self.values: list = []
 
-    def bit(self, m: Xi) -> int:
-        i = self.index.get(m)
-        if i is None:
-            i = self.index[m] = len(self.heads)
-            self.heads.append(self.profile.project(antipode(m)))
-        return 1 << i
+    def __missing__(self, m: Xi) -> int:
+        i = self[m] = len(self.values)
+        self.values.append(self.value(m))
+        return i
 
 
 @lru_cache(maxsize=None)
-def _lefts(profile: Profile) -> _Lefts:
-    return _Lefts(profile)
+def _lefts(profile: Profile) -> _Numbering:
+    """Left monomials, each valued at chi of it projected to the profile:
+    the heads it contributes."""
+    return _Numbering(lambda m: profile.project(antipode(m)))
+
+
+@lru_cache(maxsize=None)
+def _rights(profile: Profile) -> _Numbering:
+    """Right-hand monomials, each valued at itself for decoding."""
+    return _Numbering(lambda m: m)
 
 
 def _collect(
-    slots: List[Dict[Xi, Set[Xi]]],
-    rights: Word,
+    slots: List[Dict[int, Set[Xi]]],
+    rights: Tuple[int, ...],
     left: Iterable[Xi],
-    index: _Lefts,
-    groups: Dict[Word, int],
+    num: Callable[[Xi], int],
+    groups: Dict[int, Set[Tuple[int, ...]]],
 ) -> None:
     """Walk the coproduct choices of the slots after the first len(rights),
-    multiplying their lefts into left mod 2, and XOR the finished left
-    sums into groups[rights] as masks over the profile's left index.  A
-    left 1 heads a (1 | w) term, which d discards, so it gets no bit."""
+    multiplying their lefts into left mod 2, and add the finished
+    right-hand tuple to the group of each left's number.  The walk reaches
+    each tuple once, with its lefts already cancelled.  A left 1 heads a
+    (1 | w) term, which d discards, so it gets no group."""
     v = len(rights)
     if v == len(slots):
-        mask = groups.pop(rights, 0)
         for m in left:
             if m != ONE:
-                mask ^= index.bit(m)
-        if mask:
-            groups[rights] = mask
+                groups.setdefault(num(m), set()).add(rights)
         return
     for b, lefts in slots[v].items():
         prod: Set[Xi] = set()
@@ -164,21 +174,21 @@ def _collect(
             for c in lefts:
                 prod.symmetric_difference_update((mono_mul(a, c),))
         if prod:
-            _collect(slots, rights + (b,), prod, index, groups)
+            _collect(slots, rights + (b,), prod, num, groups)
 
 
 @lru_cache(maxsize=None)
 def _orbit_groups(
     product: SlotProduct, profile: Profile
-) -> Tuple[Tuple[Word, ...], Tuple[int, ...]]:
-    """The grouped left sums rights -> lefts of one slot product in
-    canonical order, as the right-hand tuples and their masks, shared by
-    every product in its slot-permutation orbit."""
+) -> Tuple[Tuple[int, FrozenSet[Tuple[int, ...]]], ...]:
+    """d of one slot product in canonical order before chi, as pairs (left
+    number, its right-hand tuples), shared by every product in its
+    slot-permutation orbit."""
     slots = [_reduced_coproduct(p, profile) for p in product]
-    groups: Dict[Word, int] = {}
+    groups: Dict[int, Set[Tuple[int, ...]]] = {}
     if slots and all(slots):
-        _collect(slots, (), (ONE,), _lefts(profile), groups)
-    return tuple(groups), tuple(groups.values())
+        _collect(slots, (), (ONE,), _lefts(profile).__getitem__, groups)
+    return tuple((i, frozenset(rights)) for i, rights in groups.items())
 
 
 def _slot_key(slot: Slot) -> Tuple[Xi, ...]:
@@ -191,35 +201,30 @@ def differential(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile
     """d of a word, a word sum, or a sum of slot products, collecting
     before the antipode.
 
-    Each product is sorted into its orbit's canonical order, whose
-    grouped left sums come from _orbit_groups; their right-hand tuples
-    are permuted back to the product's slot order and XORed into one
-    accumulator, so a group that cancels is deleted at once.  chi and
-    the profile projection then run once per surviving left.
+    Each product is sorted into its orbit's canonical order, whose groups
+    come from _orbit_groups; their right-hand tuples are permuted back to
+    the product's slot order and XORed into one set per left number.
+    chi and the profile projection then run once per left, as its
+    memoised heads.
     """
-    lefts = _lefts(profile)
-    acc: Dict[Word, int] = {}
+    acc: Dict[int, Set[Tuple[int, ...]]] = {}
     for product in (ws,) if isinstance(ws, tuple) else ws:
         identity = list(range(len(product)))
         order = sorted(identity, key=lambda i: _slot_key(product[i]))
-        rights_of, masks = _orbit_groups(tuple(product[i] for i in order), profile)
+        groups = _orbit_groups(tuple(product[i] for i in order), profile)
         if order != identity:
             back = itemgetter(*sorted(identity, key=order.__getitem__))  # order^-1
-            rights_of = map(back, rights_of)
-        for rights, mask in zip(rights_of, masks):
-            mask ^= acc.pop(rights, 0)
-            if mask:
-                acc[rights] = mask
+            groups = [(i, map(back, rights)) for i, rights in groups]
+        for i, rights in groups:
+            acc.setdefault(i, set()).symmetric_difference_update(rights)
 
-    out: set = set()
-    for rights, mask in acc.items():
-        heads: FrozenSet[Xi] = frozenset()
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            heads ^= lefts.heads[i]
-        out.update((h,) + rights for h in heads)
-    return frozenset(out)
+    heads = _lefts(profile).values
+    by_head: Dict[Xi, Set[Tuple[int, ...]]] = {}
+    for i, rights in acc.items():
+        for h in heads[i]:
+            by_head.setdefault(h, set()).symmetric_difference_update(rights)
+    decode = _rights(profile).values.__getitem__
+    return frozenset((h,) + tuple(map(decode, r)) for h, rs in by_head.items() for r in rs)
 
 
 def is_cocycle(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> bool:
@@ -245,31 +250,36 @@ def cell_basis(profile: Profile, length: int, degree: int) -> Tuple[Word, ...]:
 def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix:
     """Matrix of d: C^{length} -> C^{length+1} in cell_basis coordinates.
 
-    d is computed once per slot-permutation orbit of source words, on its
-    sorted word; since d(sigma . w) = (1 | sigma) . d(w), every other word
-    of the orbit takes those image words with the slots after the head
-    permuted to its own order.
+    The groups of each slot-permutation orbit of source words come from
+    _orbit_groups, on its sorted word; since d(sigma . w) = (1 | sigma) .
+    d(w), every word of the orbit takes each head of each left over the
+    right-hand tuples permuted to its own slot order.  Target words are
+    looked up by head and numbered tail, as the groups hold them.
     """
     src = cell_basis(profile, length, degree)
     tgt = cell_basis(profile, length + 1, degree)
-    tgt_idx = {w: i for i, w in enumerate(tgt)}
+    num = _rights(profile).__getitem__
+    tgt_idx = {(w[0], tuple(map(num, w[1:]))): i for i, w in enumerate(tgt)}
+    heads = _lefts(profile).values
     rows = [0] * len(tgt)
     orbits: Dict[Word, List[int]] = {}
     for j, w in enumerate(src):
         orbits.setdefault(tuple(sorted(w)), []).append(j)
     for key, members in orbits.items():
-        images = differential(key, profile)
+        groups = _orbit_groups(key, profile)
+        terms = [(h, r) for i, rights in groups for h in heads[i] for r in rights]
         for j in members:
             w = src[j]
-            if w == key:
-                moved = images
-            else:
+            moved = terms
+            if w != key:  # so length > 1, and itemgetter gives tuples
                 # slot i of w holds letter pos[i] of the sorted word
                 order = sorted(range(length), key=w.__getitem__)
                 pos = sorted(range(length), key=order.__getitem__)
-                moved = map(itemgetter(0, *(1 + p for p in pos)), images)
-            for image in moved:
-                rows[tgt_idx[image]] ^= 1 << j
+                perm = itemgetter(*pos)
+                moved = [(h, perm(r)) for h, r in terms]
+            bit = 1 << j
+            for t in map(tgt_idx.__getitem__, moved):
+                rows[t] ^= bit
     return GF2Matrix(rows, len(src))
 
 

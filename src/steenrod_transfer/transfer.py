@@ -11,16 +11,19 @@ b_{e_1} ... b_{e_n} contributes the words built from one monomial of
 f_star(e_v) per slot.  On elements killed by the profile's algebra the
 image is a cocycle and its class is the value of the transfer.
 
-The image keeps its slot factors (f_star(e_1) | ... | f_star(e_n)), one
-per surviving term, next to the words.  The cocycle check differentiates
-the factors, so each slot's coproduct is formed and cancelled once per
-orbit of terms under slot permutations rather than once per word; the
-words are kept for printing and counting.
+The image keeps only its slot factors (f_star(e_1) | ... | f_star(e_n)),
+one per surviving term.  The cocycle check differentiates the factors,
+so each slot's coproduct is formed and cancelled once per orbit of terms
+under slot permutations rather than once per word.  The words are built
+on demand, for printing or class solving; their count needs none of
+them.  It is exact: a letter in slot v has degree e_v + 1, so each word
+fixes its term, and distinct terms give distinct words.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -94,24 +97,22 @@ class TransferImage(NamedTuple):
 
     rank: int
     degree: int
-    words: WordSum
     factors: FrozenSet[Tuple[DualPoly, ...]]
 
+    @property
+    def words(self) -> WordSum:
+        return frozenset(w for polys in self.factors for w in itertools.product(*polys))
+
+    def word_count(self) -> int:
+        return sum(math.prod(map(len, polys)) for polys in self.factors)
+
     def is_zero(self) -> bool:
-        return not self.words
+        return not self.factors
 
 
 def transfer_chain(x: HElement, profile: Profile = Profile.full()) -> TransferImage:
-    words: set = set()
-    factors: set = set()
-    for term in x.terms:
-        polys = tuple(f_star(e, profile) for e in term)
-        if any(not p for p in polys):
-            continue
-        factors ^= {polys}
-        for combo in itertools.product(*polys):
-            words ^= {combo}
-    return TransferImage(x.rank, x.degree + x.rank, frozenset(words), frozenset(factors))
+    factors = (tuple(f_star(e, profile) for e in term) for term in x.terms)
+    return TransferImage(x.rank, x.degree + x.rank, frozenset(p for p in factors if all(p)))
 
 
 def transfer_class(

@@ -142,6 +142,19 @@ class TestTransfer:
             assert row["cocycle"] is True
             assert row["class"] is not None
 
+    def test_text_word_counts_match_json_images(self, capsys):
+        # the text output counts the words from the slot factors; the JSON
+        # output lists them
+        args = ["transfer", "--algebra", "A", "--rank", "4", "--degree", "14"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert main(args + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["elements"]
+        assert len(lines) == len(rows) == 50
+        for line, row in zip(lines, rows):
+            tag = line.split(" -> ")[1].split(",")[0]
+            assert tag == (f"{len(row['image'])} words" if row["image"] else "zero")
+
 
 class TestVerify:
     def test_pass_suite(self, capsys):

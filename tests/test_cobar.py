@@ -232,6 +232,29 @@ class TestGroupedDifferential:
             assert differential(moved, prof) == want
             assert differential(product, prof) == reference_differential(words, prof)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(REFERENCE_PROFILES)), st.integers(2, 4), st.data())
+    def test_sums_cancel_across_and_within_orbits(self, name, n, data):
+        # a product, a slot-permuted copy of it (the same orbit), and one
+        # product twice (the same sorted product): d of the list is the
+        # XOR of the reference over each product's words
+        prof = REFERENCE_PROFILES[name]
+        degree = data.draw(st.integers(0, (16, 12, 10)[n - 2]))
+        live = [e for e in degree_basis(n, degree) if all(f_star(k, prof) for k in e)]
+        if not live:
+            return
+        terms = data.draw(st.lists(st.sampled_from(live), min_size=2, max_size=2))
+        first, second = (tuple(f_star(k, prof) for k in e) for e in terms)
+        sigma = data.draw(st.permutations(range(n)))
+        products = [first, tuple(first[i] for i in sigma), second, second]
+        want: set = set()
+        for product in products:
+            want.symmetric_difference_update(
+                reference_differential(frozenset(itertools.product(*product)), prof)
+            )
+        assert differential(products, prof) == frozenset(want)
+        assert differential(products[2:], prof) == frozenset()
+
     def test_non_cocycle_image(self):
         # b(1,2,3,8) is not annihilated; its 8-word image is no cocycle
         img = transfer_chain(HElement.b(1, 2, 3, 8), Profile.full())
@@ -245,14 +268,19 @@ class TestGroupedDifferential:
     def test_matrix_columns_match_reference(self):
         # at length 3 an orbit of words under slot permutations holds up
         # to 6 words, which share one computed differential
-        for prof in REFERENCE_PROFILES.values():
-            for n in (1, 2, 3):
-                src = cell_basis(prof, n, 9)
-                tgt = cell_basis(prof, n + 1, 9)
-                cols = differential_matrix(prof, n, 9).columns()
-                for w, col in zip(src, cols):
-                    want = reference_differential({w}, prof)
-                    assert col == sum(1 << tgt.index(u) for u in want)
+        cells = [(prof, n, 9) for prof in REFERENCE_PROFILES.values() for n in (1, 2, 3)]
+        # at length 4 every word of these cells repeats a letter, so the
+        # stabilisers are nontrivial (E2 at degree 12 has one word and no
+        # target, hence degree 22 there)
+        cells += [(Profile.E(2), 4, 22), (Profile.D(), 4, 12)]
+        for prof, n, degree in cells:
+            src = cell_basis(prof, n, degree)
+            tgt = {u: i for i, u in enumerate(cell_basis(prof, n + 1, degree))}
+            cols = differential_matrix(prof, n, degree).columns()
+            assert len(cols) == len(src)
+            for w, col in zip(src, cols):
+                want = reference_differential({w}, prof)
+                assert col == sum(1 << tgt[u] for u in want)
 
 
 class TestCells:

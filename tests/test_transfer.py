@@ -200,6 +200,17 @@ class TestChain:
         assert len(differential(img.factors, FULL)) == 67
         assert not is_cocycle(img.factors, FULL)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([FULL, E1, E2, E3, Profile.D()]), st.integers(1, 4), st.data())
+    def test_word_count_needs_no_words(self, prof, rank, data):
+        # a letter in slot v has degree e_v + 1, so distinct terms give
+        # distinct words and the count of each term's words is exact
+        degree = data.draw(st.integers(0, (40, 20, 14, 11)[rank - 1]))
+        terms = data.draw(st.sets(st.sampled_from(degree_basis(rank, degree)), max_size=5))
+        img = transfer_chain(HElement(rank, degree, frozenset(terms)), prof)
+        assert img.word_count() == len(img.words)
+        assert img.is_zero() == (not img.words)
+
 
 class TestSlotTypes:
     @pytest.mark.parametrize("rank", [2, 3, 4])
