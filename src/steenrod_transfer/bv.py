@@ -750,6 +750,8 @@ class CoinvariantPresentation(NamedTuple):
         return self.space.dim - self.relations.dim
 
     def reduce(self, x: HElement) -> HElement:
+        if (x.rank, x.degree) != (self.rank, self.degree):
+            raise ValueError(f"element of {(x.rank, x.degree)} in the quotient of {(self.rank, self.degree)}")
         v = x.to_coords()
         if not self.space.contains(v):
             raise ValueError("element not in the subspace")

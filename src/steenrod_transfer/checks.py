@@ -7,15 +7,17 @@ detail to see what went wrong.  The checks are grouped into named suites
 
 A criterion is a function returning a list of CheckResult.  Everything
 is recomputed on each run and nothing is read from disk: the rank-4
-elements are written in the compact digit notation of hit.parse_terms
-and parsed where they are used.
+elements are written in the paper's digit notation and read_terms reads
+them where they are used.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import time
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from itertools import permutations
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from .bv import (
     HElement,
@@ -37,7 +39,7 @@ from .cobar import (
     hclass_str,
 )
 from .gf2 import GF2Subspace
-from .hit import PolyElement, apply_op, chi_sq, is_hit, parse_poly, parse_terms, peterson_wood
+from .hit import PolyElement, apply_op, chi_sq, is_hit, peterson_wood
 from .milnor import Profile, Pst, frobenius, generators, xi
 from .stratr import is_invariant, parse_r_text, same_s_excluded
 from .transfer import f_star, presentable, slot_types, transfer_chain, transfer_class
@@ -47,6 +49,7 @@ __all__ = [
     "CriterionReport",
     "CRITERIA",
     "SUITES",
+    "read_terms",
     "run_criterion",
     "spike_pairs",
 ]
@@ -84,8 +87,32 @@ class CriterionReport(NamedTuple):
         }
 
 
+_EXPONENTS = r"[0-9]+(?:,[0-9]+)*"
+# a prefix, then perhaps a group; or a bracketed group
+_TOKEN = re.compile(rf"((?:{_EXPONENTS})?)(?:\(({_EXPONENTS})\))?|\[\(({_EXPONENTS})\)\]")
+
+
+def _exponents(text: str) -> Tuple[int, ...]:
+    return tuple(map(int, text.split(",") if "," in text else text))
+
+
+def read_terms(text: str) -> FrozenSet[Tuple[int, ...]]:
+    """The exponent tuples of a sum in the paper's notation, mod 2.  One
+    exponent per digit, or all comma-separated: "4433", "1,1,10,5".
+    "P(Q)" is the distinct permutations of Q after P, each part read so,
+    "[(Q)]" those of the whole tuple; "+" adds, empty tokens skipped."""
+    acc: Set[Tuple[int, ...]] = set()
+    for token in filter(None, text.split("+")):
+        m = _TOKEN.fullmatch(token)
+        if m is None:
+            raise ValueError(f"cannot read {token!r} as exponents")
+        prefix, group, whole = (_exponents(part or "") for part in m.groups())
+        acc ^= {prefix + p for p in set(permutations(group or whole))}
+    return frozenset(acc)
+
+
 def _hel(text: str, rank: int, degree: int) -> HElement:
-    return HElement(rank, degree, parse_terms(text, rank, degree))
+    return HElement(rank, degree, read_terms(text))
 
 
 def _hmono(*pairs: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
@@ -374,7 +401,7 @@ def crit_degree20_kernel() -> List[CheckResult]:
     )
 
     conj = apply_op(chi_sq(8), PolyElement.x(1, 1, 1, 1))
-    want = parse_poly("[(4422)]+[(8211)]", 4, 12)
+    want = PolyElement(4, 12, read_terms("[(4422)]+[(8211)]"))
     out.append(
         CheckResult(
             "chi-sq8-on-1111",
@@ -449,15 +476,14 @@ def crit_degree14_fixture() -> List[CheckResult]:
 # -- rank 4, degree 17 ----------------------------------------------------
 
 
-# the candidate mixes notations (prefix groups, comma forms, bare digit
-# runs); its transcription is best effort, and nothing depends on it
-# being exactly the printed element
+# the paper's candidate, a token with a multi-digit exponent listing all
+# of them; this reading is the element checked, perhaps not the printed one
 E0_CANDIDATE = (
     "2555+1655+18(53)+17(63)+14(75)+13(76)+14(93)+23(93)"
-    "+12(95)+11,10,5+1169+12(11,3)+4(355)+11,12,3+114,11+"
-    "+1187+2177+112,13+111,14+3356+3635+3563"
+    "+12(95)+1,1,10,5+1169+12(11,3)+4(355)+1,1,12,3+1,1,4,11+"
+    "+1187+2177+1,1,2,13+1,1,1,14+3356+3635+3563"
     "+5336+5633+5363+6(335)+8333+7433+7253+7163"
-    "+2933+1,10,33+2735+2375+2357+1736+1376+1367"
+    "+2933+1,10,3,3+2735+2375+2357+1736+1376+1367"
 )
 
 

@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (raised while parsing), 3 budget exceeded, 4 internal error (any other
 exception inside a command, a worker's re-raised here among them, or a
 worker that ended without sending its result: a fault of the program,
-not its input).
+not its input), and 141 (128 + SIGPIPE) a stdout closed early.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def cmd_verify(args) -> int:
     reports = []
     for report in _map_in_workers(run_criterion, SUITES[args.suite]):
         if args.format == "text":
-            print("\n".join(report.lines()))
+            print("\n".join(report.lines()), flush=True)
         reports.append(report)
     passed = all(r.passed for r in reports)
     if args.format == "json":
@@ -421,10 +421,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed stdout is met here, not at exit
+        return rc
     except BudgetError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stop as SIGPIPE would; the final flush goes nowhere
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), 1)
+        return 141
     except Exception as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4

@@ -16,23 +16,12 @@ the hit subspace of the positive part of H^degree(BV_k), the monomials
 with every exponent positive, which _positive_hit computes once per
 (k, degree).  Conjugates chi(Sq^k) are kept as sums of Sq compositions
 and only ever evaluated, never straightened through Adem relations.
-
-The shorthand parser reads the compact monomial lists used for rank-4
-elements: "4433" is an exponent tuple, "11,10,5" uses commas for
-multi-digit entries, "18(53)" fixes a prefix and sums the distinct
-permutations of the parenthesized tail, and "[(4422)]" sums the
-distinct permutations of the whole tuple.  Written sources mix these
-conventions freely, so resolution is constrained by the expected rank
-and degree and ties are broken toward single-digit readings from the
-left.
 """
 
 from __future__ import annotations
 
-import itertools
-import re
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .bv import GradedElement, Monomial, basis_dim, degree_basis, terms_to_coords
 from .bv import _basis_index, _embed_supports  # coordinates of the support summands
@@ -47,9 +36,6 @@ __all__ = [
     "chi_sq",
     "apply_op",
     "peterson_wood",
-    "ParseError",
-    "parse_terms",
-    "parse_poly",
 ]
 
 
@@ -198,91 +184,3 @@ def peterson_wood(mono: Monomial) -> bool:
     d = sum(mono)
     r = sum(1 for e in mono if e & 1)
     return bin(d + r).count("1") > r
-
-
-# shorthand notation ---------------------------------------------------
-
-
-class ParseError(ValueError):
-    pass
-
-
-def _chunkings(blob: str) -> List[Tuple[int, ...]]:
-    """All readings of a digit string as a run of exponents; multi-digit
-    chunks may not start with 0."""
-    if not blob:
-        return [()]
-    out = []
-    for end in range(1, len(blob) + 1):
-        if end > 1 and blob[0] == "0":
-            break
-        head = int(blob[:end])
-        out.extend((head,) + rest for rest in _chunkings(blob[end:]))
-    return out
-
-
-def _candidates(text: str) -> List[Tuple[int, ...]]:
-    parts = [p for p in text.split(",") if p != ""]
-    if not all(p.isdigit() for p in parts):
-        raise ParseError(f"cannot read {text!r} as exponents")
-    pools = [_chunkings(p) for p in parts]
-    return [tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*pools)]
-
-
-def _read_key(tup: Tuple[int, ...]) -> tuple:
-    # fewest zeros, then multi-digit entries as late as possible
-    return (sum(1 for e in tup if e == 0), tuple(e > 9 for e in tup), tup)
-
-
-def _resolve(text: str, rank: Optional[int], degree: Optional[int]) -> Tuple[int, ...]:
-    fits = [
-        c
-        for c in _candidates(text)
-        if (rank is None or len(c) == rank) and (degree is None or sum(c) == degree)
-    ]
-    if not fits:
-        raise ParseError(f"no reading of {text!r} fits rank {rank}, degree {degree}")
-    return min(fits, key=_read_key)
-
-
-def _parse_token(token: str, rank: Optional[int], degree: Optional[int]) -> Set[Monomial]:
-    m = re.fullmatch(r"\[\(([0-9,]+)\)\]", token)
-    if m:
-        base = _resolve(m.group(1), rank, degree)
-        return set(itertools.permutations(base))
-    m = re.fullmatch(r"([0-9,]*)\(([0-9,]+)\)", token)
-    if m:
-        prefix_text, group_text = m.group(1), m.group(2)
-        best = None
-        for pre in _candidates(prefix_text):
-            for grp in _candidates(group_text):
-                whole = pre + grp
-                if rank is not None and len(whole) != rank:
-                    continue
-                if degree is not None and sum(whole) != degree:
-                    continue
-                key = _read_key(whole)
-                if best is None or key < best[0]:
-                    best = (key, pre, grp)
-        if best is None:
-            raise ParseError(
-                f"no reading of {token!r} fits rank {rank}, degree {degree}"
-            )
-        _, pre, grp = best
-        return {pre + p for p in set(itertools.permutations(grp))}
-    return {_resolve(token, rank, degree)}
-
-
-def parse_terms(
-    text: str, rank: Optional[int] = None, degree: Optional[int] = None
-) -> FrozenSet[Monomial]:
-    """Read a sum of monomials in the compact notation; GF(2) parities."""
-    acc: Set[Monomial] = set()
-    for token in text.replace(" ", "").replace("\n", "").split("+"):
-        if token:
-            acc ^= _parse_token(token, rank, degree)
-    return frozenset(acc)
-
-
-def parse_poly(text: str, rank: int, degree: int) -> PolyElement:
-    return PolyElement(rank, degree, parse_terms(text, rank, degree))

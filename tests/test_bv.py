@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -610,3 +611,12 @@ class TestCoinvariants:
         # swap identifies the two spikes
         assert pres.same_class(x, y)
         assert pres.class_coords(x ^ y) == 0
+
+    @pytest.mark.parametrize("x", [HElement.b(0, 10), HElement.b(0, 0, 11)], ids=["degree", "rank"])
+    @pytest.mark.parametrize("method", ["reduce", "is_zero_class", "same_class"])
+    def test_element_of_another_cell_raises(self, method, x):
+        # its coordinates would otherwise be read as those of the quotient's cell
+        pres = coinvariant_quotient(annihilated_subspace(Profile.E(2), 2, 11), 2, 11)
+        args = (HElement.b(11, 0), x) if method == "same_class" else (x,)
+        with pytest.raises(ValueError, match=re.escape(f"{(x.rank, x.degree)} in the quotient of (2, 11)")):
+            getattr(pres, method)(*args)

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import signal
@@ -424,6 +426,58 @@ class TestWorkers:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+
+class ClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader goes away once it has read one line."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+
+class TestClosedStdout:
+    """A closed stdout stops a command as SIGPIPE would, exit 141, and
+    is not an internal error."""
+
+    def test_in_process(self, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sys, "stdout", ClosedAfterOneLine())
+        saved = os.dup(1)  # main points fd 1 at /dev/null
+        try:
+            rc = main(["verify", "lemmas"])
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        assert rc == 141
+        assert capsys.readouterr().err == ""
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["workers", "serial"])
+    def test_pipe_closed_after_one_line(self, cpus):
+        # the last criterion waits, so that it is printed after the pipe
+        # is closed; a pipe's stdout is block-buffered without
+        # PYTHONUNBUFFERED
+        code = (
+            "import os, sys, time\n"
+            f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+            "from steenrod_transfer import checks\n"
+            "from steenrod_transfer.cli import main\n"
+            "last = checks.SUITES['lemmas'][-1]\n"
+            "run = checks.CRITERIA[last]\n"
+            "checks.CRITERIA[last] = lambda: time.sleep(1) or run()\n"
+            "sys.exit(main(['verify', 'lemmas']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert proc.stdout.readline().startswith(b"PASS")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
 
 
 class TestLayering:

@@ -1,4 +1,4 @@
-"""Squares on polynomials, hit subspaces, conjugation, and the parser.
+"""Squares on polynomials, hit subspaces and conjugation.
 
 The module under test is built from the Cartan formula only, so the
 checks against the coaction-based homology action (transposed matrices,
@@ -18,14 +18,11 @@ from steenrod_transfer.bv import (
     degree_basis,
 )
 from steenrod_transfer.hit import (
-    ParseError,
     PolyElement,
     apply_op,
     chi_sq,
     decomposables,
     is_hit,
-    parse_poly,
-    parse_terms,
     peterson_wood,
     sq,
     sq_matrix,
@@ -175,8 +172,9 @@ class TestChiSq:
 
     def test_chi_sq8_on_1111(self):
         got = apply_op(chi_sq(8), PolyElement.x(1, 1, 1, 1))
-        want = parse_poly("[(4422)]+[(8211)]", 4, 12)
-        assert got == want
+        # the distinct permutations of (4,4,2,2) and of (8,2,1,1)
+        want = {*itertools.permutations((4, 4, 2, 2)), *itertools.permutations((8, 2, 1, 1))}
+        assert got == PolyElement(4, 12, want)
 
     def test_apply_op_rejects_mixed_degrees(self):
         with pytest.raises(ValueError):
@@ -216,53 +214,6 @@ class TestPetersonWood:
     def test_rank4_instances_are_hit(self):
         assert is_hit(PolyElement.x(10, 4, 3, 3))
         assert is_hit(PolyElement.x(6, 6, 4, 4))
-
-
-class TestParser:
-    def test_plain_digits(self):
-        assert parse_terms("4433", 4, 14) == frozenset({(4, 4, 3, 3)})
-
-    def test_sum_with_cancellation(self):
-        assert parse_terms("4433+4433", 4, 14) == frozenset()
-
-    def test_trailing_group(self):
-        assert parse_terms("18(53)", 4, 17) == frozenset({(1, 8, 5, 3), (1, 8, 3, 5)})
-
-    def test_group_with_repeats(self):
-        got = parse_terms("4(355)", 4, 17)
-        assert got == frozenset({(4, 3, 5, 5), (4, 5, 3, 5), (4, 5, 5, 3)})
-
-    def test_bracket_whole_permutations(self):
-        got = parse_terms("[(4422)]", 4, 12)
-        assert got == frozenset(itertools.permutations((4, 4, 2, 2)))
-        assert len(got) == 6
-
-    def test_comma_splitting_prefers_single_digits(self):
-        assert parse_terms("11,10,5", 4, 17) == frozenset({(1, 1, 10, 5)})
-        assert parse_terms("11,12,3", 4, 17) == frozenset({(1, 1, 12, 3)})
-        assert parse_terms("112,13", 4, 17) == frozenset({(1, 1, 2, 13)})
-        assert parse_terms("114,11", 4, 17) == frozenset({(1, 1, 4, 11)})
-        assert parse_terms("1,10,33", 4, 17) == frozenset({(1, 10, 3, 3)})
-
-    def test_group_prefix_resolution(self):
-        assert parse_terms("12(11,3)", 4, 17) == frozenset(
-            {(1, 2, 11, 3), (1, 2, 3, 11)}
-        )
-
-    def test_fewest_zeros_tiebreak(self):
-        # (11,1,0,5) also fits but carries a zero
-        assert parse_terms("11,10,5", 4, 17) == frozenset({(1, 1, 10, 5)})
-
-    def test_unfittable_raises(self):
-        with pytest.raises(ParseError):
-            parse_terms("99", 4, 17)
-        with pytest.raises(ParseError):
-            parse_terms("x+y", 4, 17)
-        with pytest.raises(ParseError):  # no transposition prefix
-            parse_terms("(2,3)2255", 4, 14)
-
-    def test_empty_tokens_tolerated(self):
-        assert parse_terms("2555++1655", 4, 17) == parse_terms("2555+1655", 4, 17)
 
 
 class TestPolyElement:
