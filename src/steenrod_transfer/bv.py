@@ -674,6 +674,12 @@ def _rotate(term: Monomial, idx: Dict[Monomial, int]) -> int:
     return 1 << idx[term[-1:] + term[:-1]]
 
 
+def _swap(term: Monomial, idx: Dict[Monomial, int]) -> int:
+    """Coordinates of swap_matrix(n, 0, 1) . b_term: the first two
+    exponents change places.  With _rotate it generates Sigma_n."""
+    return 1 << idx[term[1::-1] + term[2:]]
+
+
 def _shear(term: Monomial, idx: Dict[Monomial, int]) -> int:
     """Coordinates of g . b_term for transvection(n, 0, 1): a_0^(e_0)
     gamma_{e_1}(a_0 + a_1) is the sum over c <= e_1 of

@@ -18,6 +18,14 @@ under slot permutations rather than once per word.  The words are built
 on demand, for printing or class solving; their count needs none of
 them.  It is exact: a letter in slot v has degree e_v + 1, so each word
 fixes its term, and distinct terms give distinct words.
+
+cocycle_verdicts checks the images of a whole basis by checking few of
+them.  Permuting slots commutes with the chain, Tr(sigma . x) =
+sigma . Tr(x), and the cobar differential has d(sigma . P) =
+(1 | sigma) . d(P), so the x whose image is a cocycle form a
+Sigma_n-stable subspace.  It holds a Sigma_n-stable space exactly when it
+holds a set whose Sigma_n-orbits span that space, and only that set's
+images are differentiated.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .bv import HElement, degree_basis
-from .cobar import WordSum, class_of
+from .bv import HElement, _basis_index, _map_bits, _rotate, _swap, degree_basis
+from .cobar import WordSum, class_of, is_cocycle
+from .gf2 import GF2Subspace, _eliminate
 from .milnor import ONE, DualPoly, Profile, mono_mul, xi
 
 __all__ = [
@@ -37,6 +46,7 @@ __all__ = [
     "slot_types",
     "TransferImage",
     "transfer_chain",
+    "cocycle_verdicts",
     "transfer_class",
 ]
 
@@ -113,6 +123,69 @@ class TransferImage(NamedTuple):
 def transfer_chain(x: HElement, profile: Profile = Profile.full()) -> TransferImage:
     factors = (tuple(f_star(e, profile) for e in term) for term in x.terms)
     return TransferImage(x.rank, x.degree + x.rank, frozenset(p for p in factors if all(p)))
+
+
+def cocycle_verdicts(
+    rank: int, degree: int, basis: Sequence[int], images: Sequence[TransferImage], profile: Profile
+) -> List[bool]:
+    """Whether each of images, the transfer images of the vectors of a
+    Sigma_n-stable basis in degree_basis(rank, degree) coordinates, is a
+    cocycle.
+
+    Only the images of _orbit_generators are differentiated.  If each of
+    them is a cocycle, so is every image; if one is not, every image is
+    differentiated, so that the verdicts name the failing ones.  Raises
+    if the span of the basis is not Sigma_n-stable on its live part.
+    """
+    generators = _orbit_generators(rank, degree, basis, images, profile)
+    if all(is_cocycle(images[i].factors, profile) for i in generators):
+        return [True] * len(images)
+    return [is_cocycle(img.factors, profile) for img in images]
+
+
+def _orbit_generators(
+    rank: int, degree: int, basis: Sequence[int], images: Sequence[TransferImage], profile: Profile
+) -> List[int]:
+    """Indices of basis vectors whose Sigma_n-orbits span the basis on its
+    live part.
+
+    A monomial b_E is live when every f_star(e_v) is nonzero.  The chain
+    drops the others, and permuting slots keeps the live set, so keeping
+    only a vector's live monomials changes no image and commutes with
+    Sigma_n; the span is built from these live parts.  The vectors are
+    taken lightest image first, by word_count, and one is kept when its
+    live part is not yet in the span, which is then closed under the
+    n-cycle (_rotate) and the swap of slots 0 and 1 (_swap), generators
+    of Sigma_n.  Each vector the closure adds must lie in the span of
+    the basis's live parts; one that does not raises.
+    """
+    terms = degree_basis(rank, degree)
+    idx = _basis_index(rank, degree)
+    dead = {k for k in range(degree + 1) if not f_star(k, profile)}
+    live = sum(1 << j for j, e in enumerate(terms) if dead.isdisjoint(e))
+    parts = [v & live for v in basis]
+    space = GF2Subspace(len(terms), parts)
+    moves = (_rotate, _swap) if rank > 1 else ()
+    pivots: Dict[int, int] = {}
+    generators = []
+    for i in sorted(range(len(parts)), key=lambda i: images[i].word_count()):
+        if not _insert(pivots, parts[i]):
+            continue
+        generators.append(i)
+        fresh = [parts[i]]
+        while fresh:
+            if not all(map(space.contains, fresh)):
+                raise ValueError("the basis does not span a Sigma_n-stable space")
+            moved = [w for move in moves for w in _map_bits(fresh, lambda j: move(terms[j], idx))]
+            fresh = [w for w in moved if _insert(pivots, w)]
+    return generators
+
+
+def _insert(pivots: Dict[int, int], v: int) -> bool:
+    """Add v to the span held by pivots; whether it was not already in it."""
+    size = len(pivots)
+    _eliminate(pivots, v)
+    return len(pivots) > size
 
 
 def transfer_class(

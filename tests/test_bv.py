@@ -13,6 +13,7 @@ from steenrod_transfer.bv import (
     _rotate,
     _shear,
     _sq1_kernel,
+    _swap,
     action_matrix,
     annihilated_subspace,
     basis_dim,
@@ -534,12 +535,14 @@ class TestGL:
         # coinvariant_quotient's images of each basis monomial, against
         # the divided power substitution on the same matrices
         cycle, shear = gl_generators(rank)
+        swap = swap_matrix(rank, 0, 1)
         for d in range(13):
             idx = _basis_index(rank, d)
             for term in degree_basis(rank, d):
                 b = HElement(rank, d, {term})
                 assert _rotate(term, idx) == gl_act(cycle, b).to_coords()
                 assert _shear(term, idx) == gl_act(shear, b).to_coords()
+                assert _swap(term, idx) == gl_act(swap, b).to_coords()
 
     def test_cycle_rotates(self):
         cycle, _ = gl_generators(3)

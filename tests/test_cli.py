@@ -1,6 +1,8 @@
 import errno
 import io
+import itertools
 import json
+import math
 import os
 import signal
 import subprocess
@@ -11,11 +13,12 @@ import pytest
 
 import steenrod_transfer
 from steenrod_transfer import checks
-from steenrod_transfer.bv import _basis_index, action_matrix, degree_basis
+from steenrod_transfer.bv import HElement, _basis_index, action_matrix, degree_basis
 from steenrod_transfer.checks import SUITES, CheckResult
 from steenrod_transfer.cli import main, parse_algebra, parse_degree_range
 from steenrod_transfer.gf2 import BudgetError
 from steenrod_transfer.milnor import Profile
+from steenrod_transfer.transfer import transfer_chain
 
 SRC = str(Path(steenrod_transfer.__file__).resolve().parent.parent)
 
@@ -145,8 +148,9 @@ class TestTransfer:
             assert row["class"] is not None
 
     def test_text_word_counts_match_json_images(self, capsys):
-        # the text output counts the words from the slot factors; the JSON
-        # output lists them
+        # both outputs count the words from the slot factors; the JSON
+        # output lists the factors, whose words are the products of one
+        # monomial per slot
         args = ["transfer", "--algebra", "A", "--rank", "4", "--degree", "14"]
         assert main(args) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
@@ -154,8 +158,21 @@ class TestTransfer:
         rows = json.loads(capsys.readouterr().out)["elements"]
         assert len(lines) == len(rows) == 50
         for line, row in zip(lines, rows):
+            image = row["image"]
             tag = line.split(" -> ")[1].split(",")[0]
-            assert tag == (f"{len(row['image'])} words" if row["image"] else "zero")
+            assert tag == (f"{image['word_count']} words" if image["terms"] else "zero")
+            assert image["word_count"] == sum(math.prod(map(len, t["slots"])) for t in image["terms"])
+            for term in image["terms"]:
+                assert len(term["slots"]) == 4
+                assert all(slot == sorted(slot) for slot in term["slots"])
+            assert image["terms"] == sorted(image["terms"], key=lambda t: t["slots"])
+            words = {
+                tuple(tuple(map(tuple, m)) for m in word)
+                for t in image["terms"]
+                for word in itertools.product(*t["slots"])
+            }
+            x = HElement(4, 14, map(tuple, row["element"]["terms"]))
+            assert words == transfer_chain(x, Profile.full()).words
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenrod_transfer import transfer
 from steenrod_transfer.bv import (
     HElement,
     annihilated_subspace,
@@ -13,7 +14,13 @@ from steenrod_transfer.bv import (
 )
 from steenrod_transfer.cobar import class_of, differential, is_cocycle, wordsum_degree
 from steenrod_transfer.milnor import Profile, frobenius, mono_degree, mono_mul, xi
-from steenrod_transfer.transfer import f_star, slot_types, transfer_chain, transfer_class
+from steenrod_transfer.transfer import (
+    cocycle_verdicts,
+    f_star,
+    slot_types,
+    transfer_chain,
+    transfer_class,
+)
 
 FULL = Profile.full()
 E1, E2, E3 = Profile.E(1), Profile.E(2), Profile.E(3)
@@ -210,6 +217,66 @@ class TestChain:
         img = transfer_chain(HElement(rank, degree, frozenset(terms)), prof)
         assert img.word_count() == len(img.words)
         assert img.is_zero() == (not img.words)
+
+
+def images_of(profile, rank, degree, basis):
+    return [transfer_chain(HElement.from_coords(rank, degree, v), profile) for v in basis]
+
+
+class TestCocycleVerdicts:
+    @pytest.mark.parametrize("prof", [FULL, E2], ids=["A", "E2"])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_matches_each_image_checked(self, prof, rank):
+        for d in range(31):
+            basis = annihilated_subspace(prof, rank, d).basis
+            imgs = images_of(prof, rank, d, basis)
+            assert cocycle_verdicts(rank, d, basis, imgs, prof) == [
+                is_cocycle(img.factors, prof) for img in imgs
+            ]
+
+    @pytest.mark.parametrize(
+        "prof,rank,degree,cocycles",
+        [(FULL, 2, 5, 0), (FULL, 2, 7, 2), (FULL, 3, 7, 6), (E2, 2, 10, 9), (E2, 3, 12, 88)],
+        ids=["A-r2-d5", "A-r2-d7", "A-r3-d7", "E2-r2-d10", "E2-r3-d12"],
+    )
+    def test_stable_space_with_non_cocycles(self, prof, rank, degree, cocycles):
+        # the whole cell is Sigma_n-stable but not annihilated: a generator's
+        # image fails, and every image is then checked
+        basis = [1 << i for i in range(len(degree_basis(rank, degree)))]
+        imgs = images_of(prof, rank, degree, basis)
+        verdicts = cocycle_verdicts(rank, degree, basis, imgs, prof)
+        assert verdicts == [is_cocycle(img.factors, prof) for img in imgs]
+        assert sum(verdicts) == cocycles
+
+    def test_unstable_basis_raises(self):
+        x = HElement.b(1, 2)
+        with pytest.raises(ValueError, match="Sigma_n-stable"):
+            cocycle_verdicts(2, 3, [x.to_coords()], [transfer_chain(x, FULL)], FULL)
+        # its orbit is stable, in either order
+        y = HElement.b(2, 1)
+        basis = [y.to_coords(), x.to_coords()]
+        assert cocycle_verdicts(2, 3, basis, images_of(FULL, 2, 3, basis), FULL) == [False, False]
+
+    @pytest.mark.parametrize(
+        "prof,degree,dim,generators",
+        [(FULL, 14, 50, 8), (FULL, 15, 75, 8), (FULL, 17, 87, 10), (E2, 17, 379, 2), (E2, 20, 537, 2)],
+        ids=["A-d14", "A-d15", "A-d17", "E2-d17", "E2-d20"],
+    )
+    def test_checks_only_generators(self, monkeypatch, prof, degree, dim, generators):
+        # the orbits of a few basis vectors span the rank-4 annihilated
+        # space; under E2 most monomials have a slot with f_star = 0, and
+        # only the live ones enter the span
+        checked = []
+
+        def counted(ws, profile):
+            checked.append(ws)
+            return is_cocycle(ws, profile)
+
+        monkeypatch.setattr(transfer, "is_cocycle", counted)
+        basis = annihilated_subspace(prof, 4, degree).basis
+        imgs = images_of(prof, 4, degree, basis)
+        assert cocycle_verdicts(4, degree, basis, imgs, prof) == [True] * dim
+        assert len(checked) == generators
 
 
 class TestSlotTypes:
