@@ -10,6 +10,11 @@ of n workers, item k runs in worker k mod n, which sends its result back
 down a pipe.  No pool or thread is started, and the results are printed
 in the order of the input.
 
+`main` freezes the heap once the arguments are parsed and again as it
+returns, so no collection of the command, of a worker or of interpreter
+exit walks what the imports built or the caches the command filled: the
+library leaves no reference cycles, so that walk would free nothing.
+
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (raised while parsing), 3 budget exceeded, 4 internal error (any other
 exception inside a command, a worker's re-raised here among them, or a
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -143,7 +147,8 @@ def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
     signal or exit status.  Either way the workers still running are
     killed; every worker is reaped.  With one worker or without os.fork
     this is the plain map, in this process.  A forked worker inherits the
-    imported package, where a fresh interpreter would import it again;
+    imported package, where a fresh interpreter would import it again,
+    and main's frozen heap, which its collections neither walk nor copy;
     forking is safe because the command line starts no thread.
     """
     try:
@@ -162,23 +167,17 @@ def _map_in_workers(fn: Callable, items: Sequence) -> Iterator:
     pipes: list = []
     done = False
     try:
-        # what the workers inherit is then left out of their collections,
-        # which would otherwise traverse it and copy every page it is on
-        gc.freeze()
-        try:
-            for w in range(workers):
-                r, wr = os.pipe()
-                pipes.append(open(r, "rb"))
-                try:
-                    pid = os.fork()
-                    if not pid:
-                        _serve(fn, items[w::workers], wr, pipes)
-                    pids.append(pid)
-                finally:
-                    # held open by a later worker, it would never give EOF
-                    os.close(wr)
-        finally:
-            gc.unfreeze()
+        for w in range(workers):
+            r, wr = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if not pid:
+                    _serve(fn, items[w::workers], wr, pipes)
+                pids.append(pid)
+            finally:
+                # held open by a later worker, it would never give EOF
+                os.close(wr)
         for k in range(len(items)):
             w = k % workers
             try:
@@ -259,6 +258,8 @@ def cmd_annihilated(args) -> int:
         HElement.from_coords(args.rank, args.degree, v) for v in sub.basis
     ]
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -296,6 +297,8 @@ def cmd_transfer(args) -> int:
         cls = class_of(img.words, profile) if elementary and cocycle else None
         rows.append((e, img, cocycle, cls))
     if args.format == "json":
+        import json
+
         # on one line: unindented, json's C encoder writes it, ~10x faster
         # than the indented Python one on the images' nested slot factors
         print(
@@ -339,6 +342,8 @@ def cmd_verify(args) -> int:
         reports.append(report)
     passed = all(r.passed for r in reports)
     if args.format == "json":
+        import json
+
         criteria = [r.to_dict() for r in reports]
         print(json.dumps({"suite": args.suite, "passed": passed, "criteria": criteria}, indent=1))
     else:
@@ -421,8 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The process's entry point: runs one command, returns its exit code
+    and leaves the heap frozen, in a caller's process too."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc.freeze()
     try:
         rc = args.func(args)
         sys.stdout.flush()  # a closed stdout is met here, not at exit
@@ -437,6 +445,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

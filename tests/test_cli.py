@@ -523,3 +523,60 @@ class TestLayering:
         )
         assert proc.returncode == 0, proc.stderr
         assert set(proc.stdout.split()) == self.LOADS[module]
+
+    def test_json_only_for_json_output(self):
+        # a text transfer and a table never write JSON, so they do not
+        # pay for importing json
+        proc = run_cli_python(
+            "import sys\n"
+            "from steenrod_transfer.cli import main\n"
+            "loaded = ['json' in sys.modules]\n"
+            "for argv in (['transfer', '--algebra', 'E2', '--rank', '2', '--degree', '11'],\n"
+            "             ['table', '--algebra', 'A', '--rank', '2', '--degree-range', '1..4']):\n"
+            "    assert main(argv) == 0\n"
+            "    loaded.append('json' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+class TestFrozenHeap:
+    """main freezes the heap once the arguments are parsed and again as
+    it returns, so that neither its collections, nor its workers', nor
+    interpreter exit walk what the imports built or the command cached."""
+
+    @pytest.mark.parametrize(
+        "argv, rc",
+        [
+            (["table", "--algebra", "A", "--rank", "2", "--degree-range", "5..5"], 0),
+            # three criteria, shared among two forked workers; exit 1 for
+            # the refuted rank2-degree11-witness
+            (["verify", "props"], 1),
+        ],
+        ids=["table-one-cell", "verify-workers"],
+    )
+    def test_heap_frozen_and_collector_enabled(self, argv, rc):
+        proc = run_cli_python(
+            "import gc, os, sys, weakref\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from steenrod_transfer.cli import main\n"
+            "gc.collect()  # untracks what it can, as any collection inside main would\n"
+            "imported = len(gc.get_objects())\n"
+            f"rc = main({argv!r})\n"
+            "class Node:\n"
+            "    pass\n"
+            "node = Node()\n"
+            "node.self = node\n"
+            "alive = weakref.ref(node)\n"
+            "del node\n"
+            "gc.collect()\n"
+            "print(gc.isenabled(), gc.get_freeze_count() >= imported, alive() is None,\n"
+            "      gc.get_freeze_count(), imported)\n"
+            "sys.exit(rc)\n"
+        )
+        assert proc.returncode == rc, proc.stderr
+        enabled, frozen, cycle_freed = proc.stdout.splitlines()[-1].split()[:3]
+        assert enabled == "True"
+        assert frozen == "True", proc.stdout.splitlines()[-1]
+        assert cycle_freed == "True"
