@@ -70,7 +70,7 @@ from typing import (
     Union,
 )
 
-from .gf2 import GF2Matrix, GF2Subspace, common_kernel
+from .gf2 import GF2Matrix, GF2Subspace, common_kernel, image_of
 from .milnor import Profile, Pst, Xi, dual_basis, generators, mono_degree
 
 __all__ = [
@@ -510,23 +510,25 @@ def _embed(term: Monomial, support: Tuple[int, ...], rank: int) -> Monomial:
     return tuple(full)
 
 
+class _Images(dict):
+    """Basis images keyed by bit, each computed by image on first lookup."""
+
+    def __init__(self, image: Callable[[int], int]):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, i: int) -> int:
+        img = self[i] = self.image(i)
+        return img
+
+
 def _map_bits(vectors: Iterable[int], image: Callable[[int], int]) -> List[int]:
     """The vectors with each bit i replaced by the vector image(i), summed
-    over GF(2): the linear map sending basis vector i to image(i), which
-    is computed once per bit and dropped on return."""
-    images: Dict[int, int] = {}
-    out = []
-    for v in vectors:
-        w = 0
-        while v:
-            i = v.bit_length() - 1
-            img = images.get(i)
-            if img is None:
-                img = images[i] = image(i)
-            w ^= img
-            v ^= 1 << i
-        out.append(w)
-    return out
+    over GF(2): image_of over the linear map sending basis vector i to
+    image(i), which is computed once per bit the vectors hold and dropped
+    on return."""
+    images = _Images(image)
+    return [image_of(v, images) for v in vectors]
 
 
 def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
@@ -763,17 +765,11 @@ class CoinvariantPresentation(NamedTuple):
             raise ValueError("element not in the subspace")
         return HElement.from_coords(self.rank, self.degree, self.relations.reduce(v))
 
-    def class_coords(self, x: HElement) -> int:
-        v = self.reduce(x).to_coords()
-        c = self.reps.coords(v)
-        assert c is not None
-        return c
-
     def is_zero_class(self, x: HElement) -> bool:
-        return self.class_coords(x) == 0
+        return self.reduce(x).is_zero()
 
     def same_class(self, x: HElement, y: HElement) -> bool:
-        return self.class_coords(x) == self.class_coords(y)
+        return self.reduce(x) == self.reduce(y)
 
 
 def coinvariant_quotient(space: GF2Subspace, rank: int, degree: int) -> CoinvariantPresentation:

@@ -38,7 +38,7 @@ from .cobar import (
     h_monomials,
     hclass_str,
 )
-from .gf2 import GF2Subspace
+from .gf2 import GF2Subspace, image_of
 from .hit import PolyElement, apply_op, chi_sq, is_hit, peterson_wood
 from .milnor import Profile, Pst, frobenius, generators, xi
 from .stratr import is_invariant, parse_r_text, same_s_excluded
@@ -584,12 +584,8 @@ def crit_cobar_consistency() -> List[CheckResult]:
             for deg in range(max_deg + 1):
                 d1 = differential_matrix(profile, length, deg)
                 d2 = differential_matrix(profile, length + 1, deg)
-                for i in range(d2.nrows):
-                    r, acc = d2.rows[i], 0
-                    while r:
-                        acc ^= d1.rows[(r & -r).bit_length() - 1]
-                        r &= r - 1
-                    if acc:
+                for i, r in enumerate(d2.rows):
+                    if image_of(r, d1.rows):
                         bad.append((length, deg, i))
         return bad
 

@@ -4,14 +4,17 @@ A matrix is a tuple of ints; bit j of a row is the entry in column j.
 Everything is immutable; operations return new objects.  Subspaces are
 kept in reduced row echelon form so equal subspaces compare equal.
 
-A row's pivot is its lowest set bit, and _eliminate is the one
-elimination routine: _rref (behind GF2Subspace) and common_kernel both
-reduce vectors with it against a dict of pivot rows.  Every dict keyed
-by a bit, here and in bv, is keyed by its column index j, never by the
-bit 1 << j itself, which is as wide as the space and would be hashed
-again on every lookup.  A loop over the set bits of a vector that may
-take them in any order takes the highest first, j = v.bit_length() - 1,
-which costs fewer big-int operations than the lowest.
+The module has two walks over the set bits of a vector.  _eliminate is
+the one elimination routine: a row's pivot is its lowest set bit, and
+_rref (behind GF2Subspace) and common_kernel both reduce vectors with
+it against a dict of pivot rows.  image_of is the one linear map, the
+XOR of a table's images over the set bits of a vector; bv._map_bits is
+image_of over a table that computes each image on first lookup.  Every
+dict keyed by a bit, here and in bv, is keyed by its column index j,
+never by the bit 1 << j itself, which is as wide as the space and would
+be hashed again on every lookup.  A walk that may take the bits in any
+order takes the highest first, j = v.bit_length() - 1, which costs
+fewer big-int operations than the lowest.
 
 The budget, the module constant _BIT_BUDGET (2^31), bounds the bits
 one step holds at once, each int counted as wide as its top bit can
@@ -25,12 +28,13 @@ differential_matrix, sq_matrix) has built every row.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "GF2Matrix",
     "GF2Subspace",
     "common_kernel",
+    "image_of",
     "BudgetError",
 ]
 
@@ -60,6 +64,17 @@ def _eliminate(pivots: Dict[int, int], v: int, limit: int = sys.maxsize) -> int:
     return v
 
 
+def image_of(v: int, images: Union[Sequence[int], Mapping[int, int]]) -> int:
+    """The XOR of images[j] over the set bits j of v: v's image under the
+    linear map sending basis vector j to images[j]."""
+    w = 0
+    while v:
+        j = v.bit_length() - 1
+        w ^= images[j]
+        v ^= 1 << j
+    return w
+
+
 def _rref(rows: Iterable[int]) -> Tuple[Dict[int, int], int]:
     """Reduced row echelon form: the nonzero rows keyed by their pivot
     column, in pivot order, and the union of the pivot bits."""
@@ -72,12 +87,7 @@ def _rref(rows: Iterable[int]) -> Tuple[Dict[int, int], int]:
     # pivot down leaves each row free of every other pivot bit
     for j in reversed(order):
         v = pivots[j]
-        hits = (v & pivot_bits) ^ (1 << j)  # all but v's own pivot
-        while hits:
-            k = hits.bit_length() - 1
-            v ^= pivots[k]
-            hits ^= 1 << k
-        pivots[j] = v
+        pivots[j] = v ^ image_of((v & pivot_bits) ^ (1 << j), pivots)  # not its own pivot
     return {j: pivots[j] for j in order}, pivot_bits
 
 
@@ -171,12 +181,7 @@ def common_kernel(
             return GF2Subspace(ncols, ())
         cols = _columns(rows(k), ncols)
         for i, b in enumerate(basis):
-            img = 0
-            while b:
-                j = b.bit_length() - 1
-                img ^= cols[j]
-                b ^= 1 << j
-            stack[i] |= img << shift
+            stack[i] |= image_of(b, cols) << shift
         del cols  # before the next block's rows are built
         shift += nrows
     # each stacked vector is dropped once eliminated, and the pivots before
@@ -217,6 +222,11 @@ class GF2Subspace:
         self._rows, self._pivot_bits = _rref(vectors)
         self.ambient_dim = ambient_dim
         self.basis = tuple(self._rows.values())
+        # the RREF rows span the vectors, so one of them is negative or
+        # reaches past the space exactly when one of the vectors does
+        for r in self.basis:
+            if r < 0 or r.bit_length() > ambient_dim:
+                raise ValueError("vector outside ambient space")
 
     @property
     def dim(self) -> int:
@@ -239,27 +249,7 @@ class GF2Subspace:
         """Canonical coset representative of v modulo this subspace."""
         if v.bit_length() > self.ambient_dim:
             raise ValueError("vector outside ambient space")
-        rows = self._rows
-        hits = v & self._pivot_bits
-        while hits:
-            j = hits.bit_length() - 1
-            v ^= rows[j]
-            hits ^= 1 << j
-        return v
+        return v ^ image_of(v & self._pivot_bits, self._rows)
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def coords(self, v: int) -> Optional[int]:
-        """Coefficients of v over the RREF basis rows, or None: bit i for
-        the row of the i-th pivot, the pivots v holds."""
-        if self.reduce(v) != 0:
-            return None
-        pivot_bits = self._pivot_bits
-        hits = v & pivot_bits
-        out = 0
-        while hits:
-            j = hits.bit_length() - 1
-            hits ^= 1 << j
-            out |= 1 << (pivot_bits & ((1 << j) - 1)).bit_count()
-        return out

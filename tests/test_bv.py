@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from steenrod_transfer.bv import (
     HElement,
     _basis_index,
+    _map_bits,
     _pst_image,
     _rotate,
     _shear,
@@ -28,7 +30,7 @@ from steenrod_transfer.bv import (
     swap_matrix,
     transvection,
 )
-from steenrod_transfer.gf2 import GF2Subspace, common_kernel
+from steenrod_transfer.gf2 import GF2Subspace, common_kernel, image_of
 from steenrod_transfer.milnor import Profile, Pst, dual_basis, generators, xi
 
 from gf2_reference import reference_kernel, reference_mul_vec
@@ -59,6 +61,20 @@ def reference_coinvariants(space, rank, degree, gens):
     ]
     relations = GF2Subspace(space.ambient_dim, vecs)
     return relations, GF2Subspace(space.ambient_dim, [relations.reduce(v) for v in space.basis])
+
+
+COINVARIANT_CELLS = [(Profile.E(2), 2, 11)] + [(Profile.full(), 3, d) for d in range(7, 16)] + [
+    (Profile.full(), 4, 14)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _coinvariant_cell(profile, rank, degree):
+    """The quotient of the cell's annihilated subspace, and the relations
+    of reference_coinvariants."""
+    space = annihilated_subspace(profile, rank, degree)
+    relations, _ = reference_coinvariants(space, rank, degree, four_generators(rank))
+    return coinvariant_quotient(space, rank, degree), relations
 
 
 @st.composite
@@ -576,6 +592,21 @@ class TestGL:
         assert gl_act(g, right_action(x, op)) == right_action(gl_act(g, x), op)
 
 
+class TestMapBits:
+    def test_images_each_bit_met_once(self):
+        calls = []
+
+        def image(i):
+            calls.append(i)
+            return 0b11 << i
+
+        vectors = [0b1011, 0b0011, 0, 0b1000, 0b1010]
+        got = _map_bits(vectors, image)
+        # bit 2 is in no vector, and bits 0, 1 and 3 are in several
+        assert sorted(calls) == [0, 1, 3]
+        assert got == [image_of(v, [0b11 << i for i in range(4)]) for v in vectors]
+
+
 class TestCoinvariants:
     def test_natural_module_dies(self):
         space = GF2Subspace(2, [0b01, 0b10])
@@ -613,7 +644,27 @@ class TestCoinvariants:
         y = HElement.b(0, 11)
         # swap identifies the two spikes
         assert pres.same_class(x, y)
-        assert pres.class_coords(x ^ y) == 0
+        assert pres.is_zero_class(x ^ y)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_classes_match_reference(self, data):
+        # the relations of reference_coinvariants, built through gl_act,
+        # decide both tests; y is x plus a relation half of the time, so
+        # that same_class holds as often as not
+        profile, rank, degree = data.draw(st.sampled_from(COINVARIANT_CELLS))
+        pres, relations = _coinvariant_cell(profile, rank, degree)
+        space = pres.space
+
+        def combination(basis):
+            picks = data.draw(st.integers(0, (1 << len(basis)) - 1))
+            return image_of(picks, basis)
+
+        x = combination(space.basis)
+        y = x ^ combination(relations.basis) if data.draw(st.booleans()) else combination(space.basis)
+        hx, hy = (HElement.from_coords(rank, degree, v) for v in (x, y))
+        assert pres.same_class(hx, hy) == relations.contains(x ^ y)
+        assert pres.is_zero_class(hx) == relations.contains(x)
 
     @pytest.mark.parametrize("x", [HElement.b(0, 10), HElement.b(0, 0, 11)], ids=["degree", "rank"])
     @pytest.mark.parametrize("method", ["reduce", "is_zero_class", "same_class"])

@@ -12,6 +12,7 @@ from steenrod_transfer.gf2 import (
     GF2Subspace,
     _rref,
     common_kernel,
+    image_of,
 )
 from steenrod_transfer.milnor import Profile
 
@@ -163,18 +164,22 @@ class TestRowSpace:
             assert sub.reduce(v ^ b) == sub.reduce(v)
         assert sub.contains(v ^ sub.reduce(v))
 
-    def test_coords_roundtrip(self):
-        sub = GF2Subspace(4, [bits("1100"), bits("0110"), bits("0011")])
-        for v in range(16):
-            c = sub.coords(v)
-            if c is None:
-                assert not sub.contains(v)
-                continue
-            acc = 0
-            for i, r in enumerate(sub.basis):
-                if c >> i & 1:
-                    acc ^= r
-            assert acc == v
+    # F2^3 holds neither bit 3 nor a negative int's infinite run of ones
+    @pytest.mark.parametrize("vectors", [[0b1000, 0b11], [-1]], ids=["bit-3", "negative"])
+    def test_vector_outside_ambient_raises(self, vectors):
+        with pytest.raises(ValueError, match="outside ambient"):
+            GF2Subspace(3, vectors)
+
+
+class TestImageOf:
+    @given(st.lists(st.integers(0, 2**8 - 1), max_size=9), st.data())
+    def test_matches_reference_product(self, images, data):
+        v = data.draw(st.integers(0, (1 << len(images)) - 1))
+        # the matrix whose column j is images[j]
+        rows = [sum((img >> i & 1) << j for j, img in enumerate(images)) for i in range(8)]
+        want = reference_mul_vec(rows, v)
+        assert image_of(v, images) == want
+        assert image_of(v, dict(enumerate(images))) == want
 
 
 class TestKernel:
