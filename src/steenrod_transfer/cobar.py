@@ -32,7 +32,10 @@ the same heads over the same right-hand tuples, with the tuples
 permuted.  A product is therefore sorted into a canonical slot order
 (a monomial by itself, a polynomial by its sorted monomials, which no
 hash seed affects), the sets of the sorted product are memoised, and
-each product maps them back by permuting their right-hand tuples.
+each product maps them back by permuting their right-hand tuples.  A d
+that permuting the right-hand slots leaves fixed is zero exactly when it
+is zero on the tuples that do not decrease, since each orbit of tuples
+holds one; is_symmetric_cocycle forms only those.
 
 For the profiles E(m) the cohomology is polynomial on classes h_{t,s}
 with s < m <= t, where h_{t,s} is the class of the one-letter extension
@@ -47,6 +50,8 @@ there are no relations and it is the unique expansion.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
@@ -71,6 +76,7 @@ __all__ = [
     "wordsum_degree",
     "differential",
     "is_cocycle",
+    "is_symmetric_cocycle",
     "cell_basis",
     "differential_matrix",
     "cohomology_dim",
@@ -218,6 +224,12 @@ def differential(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile
         for i, rights in groups:
             acc.setdefault(i, set()).symmetric_difference_update(rights)
 
+    return _decoded(acc, profile)
+
+
+def _decoded(acc: Dict[int, Set[Tuple[int, ...]]], profile: Profile) -> WordSum:
+    """The words of the numbered right-hand tuples per left number: chi
+    and the profile projection run once per left, as its memoised heads."""
     heads = _lefts(profile).values
     by_head: Dict[Xi, Set[Tuple[int, ...]]] = {}
     for i, rights in acc.items():
@@ -229,6 +241,54 @@ def differential(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile
 
 def is_cocycle(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> bool:
     return not differential(ws, profile)
+
+
+def is_symmetric_cocycle(products: Iterable[SlotProduct], profile: Profile) -> bool:
+    """is_cocycle of a sum of slot products whose d is invariant under
+    permuting the right-hand slots: such a d is zero exactly when it is
+    zero on the non-decreasing tuples, the only ones _sorted_differential
+    forms."""
+    return not _sorted_differential(products, profile)
+
+
+def _sorted_differential(products: Iterable[SlotProduct], profile: Profile) -> WordSum:
+    """The words of d whose right-hand tuples do not decrease in the key
+    (degree, number) of their letters.  Each product is walked in its own
+    slot order, as _collect does, but slot v takes only the keys from the
+    previous slot's up to the least largest key of the later slots, found
+    by bisection.  Ordering by degree first keeps the light slots of a
+    transfer term from pairing with heavy later ones."""
+    letters, num = _rights(profile).values, _lefts(profile).__getitem__
+    by_slot: Dict[Slot, Tuple[List[Tuple[int, int]], List[Set[Xi]]]] = {}
+    acc: Dict[Xi, Set[Tuple[int, ...]]] = {}
+
+    def walk(v: int, low: Tuple[int, ...], rights: Tuple[int, ...], left: Iterable[Xi]) -> None:
+        keys, lefts = slots[v]
+        for j in range(bisect_left(keys, low), bisect_right(keys, tops[v])):
+            prod: Set[Xi] = set()
+            for a in left:
+                for c in lefts[j]:
+                    prod.symmetric_difference_update((mono_mul(a, c),))
+            if v + 1 < len(slots):
+                if prod:
+                    walk(v + 1, keys[j], rights + (keys[j][1],), prod)
+                continue
+            for m in prod:  # the last slot: the tuple is finished
+                if m != ONE:
+                    acc.setdefault(m, set()).symmetric_difference_update((rights + (keys[j][1],),))
+
+    for product in products:
+        for p in set(product) - by_slot.keys():
+            delta = _reduced_coproduct(p, profile).items()
+            by_key = sorted(((mono_degree(letters[b]), b), lefts) for b, lefts in delta)
+            by_slot[p] = ([k for k, _ in by_key], [lefts for _, lefts in by_key])
+        slots = [by_slot[p] for p in product]
+        if slots and all(keys for keys, _ in slots):
+            # a slot's key is at most each later slot's, so at most their least largest key
+            later = itertools.accumulate((k[-1] for k, _ in slots[:0:-1]), min, initial=(math.inf,))
+            tops = list(later)[::-1]
+            walk(0, (), (), (ONE,))
+    return _decoded({num(m): rights for m, rights in acc.items()}, profile)
 
 
 @lru_cache(maxsize=None)

@@ -247,7 +247,7 @@ class GF2Subspace:
 
     def reduce(self, v: int) -> int:
         """Canonical coset representative of v modulo this subspace."""
-        if v.bit_length() > self.ambient_dim:
+        if v < 0 or v.bit_length() > self.ambient_dim:
             raise ValueError("vector outside ambient space")
         return v ^ image_of(v & self._pivot_bits, self._rows)
 

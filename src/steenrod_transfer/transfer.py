@@ -25,7 +25,10 @@ sigma . Tr(x), and the cobar differential has d(sigma . P) =
 (1 | sigma) . d(P), so the x whose image is a cocycle form a
 Sigma_n-stable subspace.  It holds a Sigma_n-stable space exactly when it
 holds a set whose Sigma_n-orbits span that space, and only that set's
-images are differentiated.
+images are differentiated, in order.  If g's orbit adds one dimension to
+the span S of the earlier orbits, each sigma . g - g lies in S, whose
+images have passed, so d Tr(g) = d Tr(sigma . g) = (1 | sigma) . d Tr(g).
+Such a g is checked by is_symmetric_cocycle, on sorted right-hand tuples.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bv import HElement, _basis_index, _map_bits, _rotate, _swap, degree_basis
-from .cobar import WordSum, class_of, is_cocycle
+from .cobar import WordSum, class_of, is_cocycle, is_symmetric_cocycle
 from .gf2 import GF2Subspace, _eliminate
 from .milnor import ONE, DualPoly, Profile, mono_mul, xi
 
@@ -138,16 +141,17 @@ def cocycle_verdicts(
     if the span of the basis is not Sigma_n-stable on its live part.
     """
     generators = _orbit_generators(rank, degree, basis, images, profile)
-    if all(is_cocycle(images[i].factors, profile) for i in generators):
+    checks = (is_cocycle, is_symmetric_cocycle)
+    if all(checks[symmetric](images[i].factors, profile) for i, symmetric in generators):
         return [True] * len(images)
     return [is_cocycle(img.factors, profile) for img in images]
 
 
 def _orbit_generators(
     rank: int, degree: int, basis: Sequence[int], images: Sequence[TransferImage], profile: Profile
-) -> List[int]:
+) -> List[Tuple[int, bool]]:
     """Indices of basis vectors whose Sigma_n-orbits span the basis on its
-    live part.
+    live part, each with whether its orbit added one dimension only.
 
     A monomial b_E is live when every f_star(e_v) is nonzero.  The chain
     drops the others, and permuting slots keeps the live set, so keeping
@@ -169,15 +173,16 @@ def _orbit_generators(
     pivots: Dict[int, int] = {}
     generators = []
     for i in sorted(range(len(parts)), key=lambda i: images[i].word_count()):
+        size = len(pivots)
         if not _insert(pivots, parts[i]):
             continue
-        generators.append(i)
         fresh = [parts[i]]
         while fresh:
             if not all(map(space.contains, fresh)):
                 raise ValueError("the basis does not span a Sigma_n-stable space")
             moved = [w for move in moves for w in _map_bits(fresh, lambda j: move(terms[j], idx))]
             fresh = [w for w in moved if _insert(pivots, w)]
+        generators.append((i, len(pivots) == size + 1))
     return generators
 
 

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrod_transfer.cobar import (
+    _rights,
+    _sorted_differential,
     cell_basis,
     class_of,
     cohomology_dim,
@@ -15,13 +17,23 @@ from steenrod_transfer.cobar import (
     hmono_str,
     is_cocycle,
     is_primitive,
+    is_symmetric_cocycle,
     word_degree,
     word_of,
     wordsum_degree,
 )
 from steenrod_transfer.bv import HElement, degree_basis
 from steenrod_transfer.gf2 import GF2Matrix, common_kernel
-from steenrod_transfer.milnor import ONE, Profile, antipode, coproduct, dual_basis, mono_mul, xi
+from steenrod_transfer.milnor import (
+    ONE,
+    Profile,
+    antipode,
+    coproduct,
+    dual_basis,
+    mono_degree,
+    mono_mul,
+    xi,
+)
 from steenrod_transfer.transfer import f_star, transfer_chain
 
 from gf2_reference import reference_kernel, reference_rref, reference_solve
@@ -264,6 +276,48 @@ class TestGroupedDifferential:
         assert d == differential(img.words, Profile.full())
         assert d == reference_differential(img.words, Profile.full())
         assert not is_cocycle(img.factors, Profile.full())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["full", "E2", "D"]), st.integers(1, 4), st.data())
+    def test_symmetric_check_matches_full_check(self, name, rank, data):
+        # an orbit sum x = sigma . x has d(Tr x) invariant under permuting
+        # the right-hand slots; most are not annihilated, so both verdicts
+        # are met
+        prof = REFERENCE_PROFILES[name]
+        degree = data.draw(st.integers(0, (30, 16, 12, 10)[rank - 1]))
+        live = [e for e in degree_basis(rank, degree) if all(f_star(k, prof) for k in e)]
+        if not live:
+            return
+        terms: set = set()
+        for e in data.draw(st.lists(st.sampled_from(live), min_size=1, max_size=3)):
+            terms.symmetric_difference_update(set(itertools.permutations(e)))
+        img = transfer_chain(HElement(rank, degree, frozenset(terms)), prof)
+        assert is_symmetric_cocycle(img.factors, prof) == is_cocycle(img.factors, prof)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(REFERENCE_PROFILES)), st.integers(1, 4), st.data())
+    def test_sorted_differential_is_reference_on_sorted_tails(self, name, rank, data):
+        # on any sum of products, not only symmetric ones, the walk yields
+        # exactly the words whose tails do not decrease in (degree, number)
+        prof = REFERENCE_PROFILES[name]
+        degree = data.draw(st.integers(0, (30, 16, 12, 10)[rank - 1]))
+        live = [e for e in degree_basis(rank, degree) if all(f_star(k, prof) for k in e)]
+        if not live:
+            return
+        terms = data.draw(st.sets(st.sampled_from(live), min_size=1, max_size=3))
+        img = transfer_chain(HElement(rank, degree, frozenset(terms)), prof)
+        got = _sorted_differential(img.factors, prof)
+        number = _rights(prof)  # every letter of a tail is numbered by now
+
+        def key(m):
+            return mono_degree(m), number[m]
+
+        want = frozenset(
+            w
+            for w in reference_differential(img.words, prof)
+            if all(key(a) <= key(b) for a, b in zip(w[1:], w[2:]))
+        )
+        assert got == want
 
     def test_matrix_columns_match_reference(self):
         # at length 3 an orbit of words under slot permutations holds up

@@ -170,6 +170,14 @@ class TestRowSpace:
         with pytest.raises(ValueError, match="outside ambient"):
             GF2Subspace(3, vectors)
 
+    @pytest.mark.parametrize("v", [0b1000, -1, -2], ids=["bit-3", "minus-1", "minus-2"])
+    def test_reduce_and_contains_reject_outside_vectors(self, v):
+        sub = GF2Subspace(3, [1])
+        with pytest.raises(ValueError, match="outside ambient"):
+            sub.reduce(v)
+        with pytest.raises(ValueError, match="outside ambient"):
+            sub.contains(v)
+
 
 class TestImageOf:
     @given(st.lists(st.integers(0, 2**8 - 1), max_size=9), st.data())

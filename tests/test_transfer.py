@@ -223,6 +223,25 @@ def images_of(profile, rank, degree, basis):
     return [transfer_chain(HElement.from_coords(rank, degree, v), profile) for v in basis]
 
 
+def count_checks(monkeypatch):
+    """Record the images each cocycle check of transfer is given, by name;
+    the checks themselves still run."""
+    checked = {}
+
+    def counted(name):
+        check, seen = getattr(transfer, name), checked.setdefault(name, [])
+
+        def run(ws, profile):
+            seen.append(ws)
+            return check(ws, profile)
+
+        return run
+
+    for name in ("is_cocycle", "is_symmetric_cocycle"):
+        monkeypatch.setattr(transfer, name, counted(name))
+    return checked
+
+
 class TestCocycleVerdicts:
     @pytest.mark.parametrize("prof", [FULL, E2], ids=["A", "E2"])
     @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -258,25 +277,51 @@ class TestCocycleVerdicts:
         assert cocycle_verdicts(2, 3, basis, images_of(FULL, 2, 3, basis), FULL) == [False, False]
 
     @pytest.mark.parametrize(
-        "prof,degree,dim,generators",
-        [(FULL, 14, 50, 8), (FULL, 15, 75, 8), (FULL, 17, 87, 10), (E2, 17, 379, 2), (E2, 20, 537, 2)],
+        "prof,degree,dim,generators,symmetric",
+        [
+            (FULL, 14, 50, 8, 0),
+            (FULL, 15, 75, 8, 1),
+            (FULL, 17, 87, 10, 0),
+            (E2, 17, 379, 2, 0),
+            (E2, 20, 537, 2, 1),
+        ],
         ids=["A-d14", "A-d15", "A-d17", "E2-d17", "E2-d20"],
     )
-    def test_checks_only_generators(self, monkeypatch, prof, degree, dim, generators):
+    def test_checks_only_generators(self, monkeypatch, prof, degree, dim, generators, symmetric):
         # the orbits of a few basis vectors span the rank-4 annihilated
         # space; under E2 most monomials have a slot with f_star = 0, and
-        # only the live ones enter the span
-        checked = []
-
-        def counted(ws, profile):
-            checked.append(ws)
-            return is_cocycle(ws, profile)
-
-        monkeypatch.setattr(transfer, "is_cocycle", counted)
+        # only the live ones enter the span.  A generator whose orbit adds
+        # one dimension goes the symmetric route.
+        checked = count_checks(monkeypatch)
         basis = annihilated_subspace(prof, 4, degree).basis
         imgs = images_of(prof, 4, degree, basis)
         assert cocycle_verdicts(4, degree, basis, imgs, prof) == [True] * dim
-        assert len(checked) == generators
+        assert len(checked["is_cocycle"]) + len(checked["is_symmetric_cocycle"]) == generators
+        assert len(checked["is_symmetric_cocycle"]) == symmetric
+
+    @pytest.mark.parametrize(
+        "degree,exponents,plus_heaviest",
+        [(14, (2, 2, 4, 6), False), (17, (1, 2, 6, 8), False), (14, (1, 1, 6, 6), True), (17, (3, 3, 5, 6), True)],
+        ids=["A-d14", "A-d17", "A-d14-repeats", "A-d17-repeats"],
+    )
+    def test_one_dimension_generator_that_fails(self, monkeypatch, degree, exponents, plus_heaviest):
+        # the annihilated space plus x, the orbit sum of a type that is not
+        # annihilated, or that plus the heaviest annihilated vector.  Either
+        # way sigma . x - x is annihilated and x weighs more than every kept
+        # vector: it is kept last, its orbit adds one dimension, and its
+        # image is no cocycle.  With repeated exponents d(Tr x) is nonzero
+        # only on tails that repeat a letter.
+        basis = annihilated_subspace(FULL, 4, degree).basis
+        x = HElement(4, degree, frozenset(itertools.permutations(exponents))).to_coords()
+        if plus_heaviest:
+            x ^= max(basis, key=lambda v: transfer_chain(HElement.from_coords(4, degree, v), FULL).word_count())
+        basis = [*basis, x]
+        imgs = images_of(FULL, 4, degree, basis)
+        checked = count_checks(monkeypatch)
+        verdicts = cocycle_verdicts(4, degree, basis, imgs, FULL)
+        assert checked["is_symmetric_cocycle"] == [imgs[-1].factors]
+        assert verdicts == [is_cocycle(img.factors, FULL) for img in imgs]
+        assert verdicts == [True] * (len(basis) - 1) + [False]
 
 
 class TestSlotTypes:
