@@ -5,8 +5,9 @@ For each degree the script reports dim H_d(BV_n), the dimension of the
 subspace killed by the chosen algebra's positive-degree generators, the
 dimension of the GL_n coinvariant quotient of that subspace, and, for
 elementary profiles, the distinct nonzero transfer classes found among
-the kernel basis vectors.  Rank 1 columns come out instantly; rank 4 at
-degree 20 takes about a second per degree.
+the kernel basis vectors.  A whole run of `A 4 20..20` takes about
+0.08 s and `E2 4 20..20 --classes` about 0.11 s, interpreter start-up
+included (medians of 15 runs, Python 3.11, 2-vCPU machine).
 
 Usage:
     python3 scripts/transfer_table.py E2 2 1..24

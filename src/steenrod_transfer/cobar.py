@@ -13,14 +13,15 @@ the unit.  Words made of primitive letters are automatically cocycles.
 
 The differential is computed on sums of slot products (p_1 | ... | p_n),
 where each slot holds a monomial or a whole polynomial; a word is the
-case of monomial slots.  Each slot's coproduct is formed and cancelled
-mod 2 once, and the left products of all choices are cancelled mod 2
-per right-hand tuple.  The monomials met under a profile are numbered
+case of monomial slots.  The monomials met under a profile are numbered
 once, the lefts (each with chi of it, projected) and the right-hand
-letters apart, so the terms before chi are held as one set of numbered
-right-hand tuples per left number.  A sum of products XORs those sets,
-and since chi is linear it is then applied, with the profile
-projection, once per surviving left rather than once per choice.
+letters apart.  Each slot's coproduct is cancelled mod 2 once per
+profile, into a cached table sorted by the key (degree, number) of its
+right-hand letters, and one walk over a product's tables cancels the
+left products of all choices per right-hand tuple.  The terms before chi
+are held as one set of numbered right-hand tuples per left number; a sum
+of products XORs those sets, and since chi is linear it is then applied,
+with the profile projection, once per surviving left.
 
 The sets are computed once per orbit of slot products under permuting
 the slots.  A_* is commutative, so chi(a_1' ... a_n') does not depend
@@ -29,13 +30,13 @@ on the slot order, and for a permutation sigma
     d(sigma . P) = (1 | sigma) . d(P):
 
 the same heads over the same right-hand tuples, with the tuples
-permuted.  A product is therefore sorted into a canonical slot order
-(a monomial by itself, a polynomial by its sorted monomials, which no
-hash seed affects), the sets of the sorted product are memoised, and
-each product maps them back by permuting their right-hand tuples.  A d
-that permuting the right-hand slots leaves fixed is zero exactly when it
-is zero on the tuples that do not decrease, since each orbit of tuples
-holds one; is_symmetric_cocycle forms only those.
+permuted.  So the sets of a product sorted into a canonical slot order
+(no hash seed affects it) are memoised, and differential and
+differential_matrix read them through one map that permutes the tuples
+back to the product's slot order.  A d that permuting the right-hand
+slots leaves fixed is zero exactly when it is zero on the tuples that do
+not decrease, since each orbit of tuples holds one; is_symmetric_cocycle
+walks only those, bounding each slot's keys by bisection.
 
 For the profiles E(m) the cohomology is polynomial on classes h_{t,s}
 with s < m <= t, where h_{t,s} is the class of the one-letter extension
@@ -114,18 +115,6 @@ def wordsum_degree(ws: WordSum) -> Optional[Tuple[int, int]]:
     return shapes.pop()
 
 
-def _reduced_coproduct(slot: Slot, profile: Profile) -> Dict[int, Set[Xi]]:
-    """Delta(slot) mod 2 as right number -> lefts, dropping the (a, 1)
-    terms."""
-    num = _rights(profile).__getitem__
-    by_right: Dict[int, Set[Xi]] = {}
-    for m in (slot,) if isinstance(slot, tuple) else slot:
-        for a, b in coproduct(m, profile):
-            if b != ONE:
-                by_right.setdefault(num(b), set()).symmetric_difference_update((a,))
-    return {b: lefts for b, lefts in by_right.items() if lefts}
-
-
 class _Numbering(dict):
     """The monomials met under one profile, mapped to their numbers in
     order of arrival; looking up a new one numbers it and computes its
@@ -156,31 +145,54 @@ def _rights(profile: Profile) -> _Numbering:
     return _Numbering(lambda m: m)
 
 
-def _collect(
-    slots: List[Dict[int, Set[Xi]]],
+# a slot's reduced coproduct: its right-hand letters' keys, sorted, and their lefts
+SlotTable = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[Xi, ...], ...]]
+
+
+@lru_cache(maxsize=None)
+def _slot_table(slot: Slot, profile: Profile) -> SlotTable:
+    """Delta(slot) mod 2 without its (a, 1) terms, by right-hand letter."""
+    by_right: Dict[Xi, Set[Xi]] = {}
+    for m in (slot,) if isinstance(slot, tuple) else slot:
+        for a, b in coproduct(m, profile):
+            if b != ONE:
+                by_right.setdefault(b, set()).symmetric_difference_update((a,))
+    num = _rights(profile)
+    table = sorted(((mono_degree(b), num[b]), tuple(a)) for b, a in by_right.items() if a)
+    return tuple(k for k, _ in table), tuple(a for _, a in table)
+
+
+def _walk(
+    slots: List[SlotTable],
+    tops: Optional[List[Tuple[float, ...]]],
+    v: int,
+    low: Tuple[int, ...],
     rights: Tuple[int, ...],
     left: Iterable[Xi],
-    num: Callable[[Xi], int],
-    groups: Dict[int, Set[Tuple[int, ...]]],
+    acc: Dict[Xi, Set[Tuple[int, ...]]],
 ) -> None:
-    """Walk the coproduct choices of the slots after the first len(rights),
-    multiplying their lefts into left mod 2, and add the finished
-    right-hand tuple to the group of each left's number.  The walk reaches
-    each tuple once, with its lefts already cancelled.  A left 1 heads a
-    (1 | w) term, which d discards, so it gets no group."""
-    v = len(rights)
-    if v == len(slots):
-        for m in left:
-            if m != ONE:
-                groups.setdefault(num(m), set()).add(rights)
-        return
-    for b, lefts in slots[v].items():
+    """Walk the coproduct choices of slots v on, multiplying their lefts
+    into left mod 2, and XOR each finished right-hand tuple into the set
+    of each left of it in acc.  With tops, slot v takes only the keys
+    from low up to tops[v], and the key it takes is the next slot's low.
+    A left 1 heads a (1 | w) term, which d discards, so it gets no set."""
+    keys, lefts = slots[v]
+    lo, hi = (bisect_left(keys, low), bisect_right(keys, tops[v])) if tops else (0, len(keys))
+    last = v + 1 == len(slots)
+    for j in range(lo, hi):
         prod: Set[Xi] = set()
         for a in left:
-            for c in lefts:
+            for c in lefts[j]:
                 prod.symmetric_difference_update((mono_mul(a, c),))
-        if prod:
-            _collect(slots, rights + (b,), prod, num, groups)
+        if not prod:
+            continue
+        tail = rights + (keys[j][1],)
+        if last:
+            for m in prod:
+                if m != ONE:
+                    acc.setdefault(m, set()).symmetric_difference_update((tail,))
+        else:
+            _walk(slots, tops, v + 1, keys[j], tail, prod, acc)
 
 
 @lru_cache(maxsize=None)
@@ -190,11 +202,12 @@ def _orbit_groups(
     """d of one slot product in canonical order before chi, as pairs (left
     number, its right-hand tuples), shared by every product in its
     slot-permutation orbit."""
-    slots = [_reduced_coproduct(p, profile) for p in product]
-    groups: Dict[int, Set[Tuple[int, ...]]] = {}
-    if slots and all(slots):
-        _collect(slots, (), (ONE,), _lefts(profile).__getitem__, groups)
-    return tuple((i, frozenset(rights)) for i, rights in groups.items())
+    slots = [_slot_table(p, profile) for p in product]
+    acc: Dict[Xi, Set[Tuple[int, ...]]] = {}
+    if slots and all(keys for keys, _ in slots):
+        _walk(slots, None, 0, (), (), (ONE,), acc)
+    num = _lefts(profile)
+    return tuple((num[m], frozenset(rights)) for m, rights in acc.items())
 
 
 def _slot_key(slot: Slot) -> Tuple[Xi, ...]:
@@ -203,27 +216,27 @@ def _slot_key(slot: Slot) -> Tuple[Xi, ...]:
     return (slot,) if isinstance(slot, tuple) else tuple(sorted(slot))
 
 
+def _product_groups(product: SlotProduct, profile: Profile) -> Iterable[Tuple[int, Iterable]]:
+    """The groups of product's orbit, from _orbit_groups on its sorted
+    slots, with their right-hand tuples permuted back to product's slot
+    order; each tuple set may be iterated once."""
+    identity = list(range(len(product)))
+    order = sorted(identity, key=lambda i: _slot_key(product[i]))
+    groups = _orbit_groups(tuple(product[i] for i in order), profile)
+    if order == identity:
+        return groups
+    back = itemgetter(*sorted(identity, key=order.__getitem__))  # order^-1
+    return [(i, map(back, rights)) for i, rights in groups]
+
+
 def differential(ws: Union[SlotProduct, Iterable[SlotProduct]], profile: Profile) -> WordSum:
     """d of a word, a word sum, or a sum of slot products, collecting
-    before the antipode.
-
-    Each product is sorted into its orbit's canonical order, whose groups
-    come from _orbit_groups; their right-hand tuples are permuted back to
-    the product's slot order and XORed into one set per left number.
-    chi and the profile projection then run once per left, as its
-    memoised heads.
-    """
+    before the antipode: the groups of each product are XORed into one
+    set per left number."""
     acc: Dict[int, Set[Tuple[int, ...]]] = {}
     for product in (ws,) if isinstance(ws, tuple) else ws:
-        identity = list(range(len(product)))
-        order = sorted(identity, key=lambda i: _slot_key(product[i]))
-        groups = _orbit_groups(tuple(product[i] for i in order), profile)
-        if order != identity:
-            back = itemgetter(*sorted(identity, key=order.__getitem__))  # order^-1
-            groups = [(i, map(back, rights)) for i, rights in groups]
-        for i, rights in groups:
+        for i, rights in _product_groups(product, profile):
             acc.setdefault(i, set()).symmetric_difference_update(rights)
-
     return _decoded(acc, profile)
 
 
@@ -254,41 +267,18 @@ def is_symmetric_cocycle(products: Iterable[SlotProduct], profile: Profile) -> b
 def _sorted_differential(products: Iterable[SlotProduct], profile: Profile) -> WordSum:
     """The words of d whose right-hand tuples do not decrease in the key
     (degree, number) of their letters.  Each product is walked in its own
-    slot order, as _collect does, but slot v takes only the keys from the
-    previous slot's up to the least largest key of the later slots, found
-    by bisection.  Ordering by degree first keeps the light slots of a
-    transfer term from pairing with heavy later ones."""
-    letters, num = _rights(profile).values, _lefts(profile).__getitem__
-    by_slot: Dict[Slot, Tuple[List[Tuple[int, int]], List[Set[Xi]]]] = {}
+    slot order, with slot v bounded by the least largest key of the later
+    slots.  Ordering by degree first keeps the light slots of a transfer
+    term from pairing with heavy later ones."""
     acc: Dict[Xi, Set[Tuple[int, ...]]] = {}
-
-    def walk(v: int, low: Tuple[int, ...], rights: Tuple[int, ...], left: Iterable[Xi]) -> None:
-        keys, lefts = slots[v]
-        for j in range(bisect_left(keys, low), bisect_right(keys, tops[v])):
-            prod: Set[Xi] = set()
-            for a in left:
-                for c in lefts[j]:
-                    prod.symmetric_difference_update((mono_mul(a, c),))
-            if v + 1 < len(slots):
-                if prod:
-                    walk(v + 1, keys[j], rights + (keys[j][1],), prod)
-                continue
-            for m in prod:  # the last slot: the tuple is finished
-                if m != ONE:
-                    acc.setdefault(m, set()).symmetric_difference_update((rights + (keys[j][1],),))
-
     for product in products:
-        for p in set(product) - by_slot.keys():
-            delta = _reduced_coproduct(p, profile).items()
-            by_key = sorted(((mono_degree(letters[b]), b), lefts) for b, lefts in delta)
-            by_slot[p] = ([k for k, _ in by_key], [lefts for _, lefts in by_key])
-        slots = [by_slot[p] for p in product]
+        slots = [_slot_table(p, profile) for p in product]
         if slots and all(keys for keys, _ in slots):
             # a slot's key is at most each later slot's, so at most their least largest key
             later = itertools.accumulate((k[-1] for k, _ in slots[:0:-1]), min, initial=(math.inf,))
-            tops = list(later)[::-1]
-            walk(0, (), (), (ONE,))
-    return _decoded({num(m): rights for m, rights in acc.items()}, profile)
+            _walk(slots, list(later)[::-1], 0, (), (), (ONE,), acc)
+    num = _lefts(profile)
+    return _decoded({num[m]: rights for m, rights in acc.items()}, profile)
 
 
 @lru_cache(maxsize=None)
@@ -310,11 +300,10 @@ def cell_basis(profile: Profile, length: int, degree: int) -> Tuple[Word, ...]:
 def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix:
     """Matrix of d: C^{length} -> C^{length+1} in cell_basis coordinates.
 
-    The groups of each slot-permutation orbit of source words come from
-    _orbit_groups, on its sorted word; since d(sigma . w) = (1 | sigma) .
-    d(w), every word of the orbit takes each head of each left over the
-    right-hand tuples permuted to its own slot order.  Target words are
-    looked up by head and numbered tail, as the groups hold them.
+    Each source word takes each head of each left over the right-hand
+    tuples of _product_groups, so the words of one slot-permutation orbit
+    share its _orbit_groups entry.  Target words are looked up by head and
+    numbered tail, as the groups hold them.
     """
     src = cell_basis(profile, length, degree)
     tgt = cell_basis(profile, length + 1, degree)
@@ -322,24 +311,12 @@ def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix
     tgt_idx = {(w[0], tuple(map(num, w[1:]))): i for i, w in enumerate(tgt)}
     heads = _lefts(profile).values
     rows = [0] * len(tgt)
-    orbits: Dict[Word, List[int]] = {}
     for j, w in enumerate(src):
-        orbits.setdefault(tuple(sorted(w)), []).append(j)
-    for key, members in orbits.items():
-        groups = _orbit_groups(key, profile)
-        terms = [(h, r) for i, rights in groups for h in heads[i] for r in rights]
-        for j in members:
-            w = src[j]
-            moved = terms
-            if w != key:  # so length > 1, and itemgetter gives tuples
-                # slot i of w holds letter pos[i] of the sorted word
-                order = sorted(range(length), key=w.__getitem__)
-                pos = sorted(range(length), key=order.__getitem__)
-                perm = itemgetter(*pos)
-                moved = [(h, perm(r)) for h, r in terms]
-            bit = 1 << j
-            for t in map(tgt_idx.__getitem__, moved):
-                rows[t] ^= bit
+        bit = 1 << j
+        for i, rights in _product_groups(w, profile):
+            for r in rights:
+                for h in heads[i]:
+                    rows[tgt_idx[h, r]] ^= bit
     return GF2Matrix(rows, len(src))
 
 
@@ -348,13 +325,8 @@ def cohomology_dim(profile: Profile, length: int, degree: int) -> int:
     of the cached differential matrices."""
     if length == 0:
         return int(degree == 0)
-    d_out = differential_matrix(profile, length, degree)
-    d_in = differential_matrix(profile, length - 1, degree)
-    return d_out.ncols - _rank(d_out) - _rank(d_in)
-
-
-def _rank(mat: GF2Matrix) -> int:
-    return GF2Subspace(mat.ncols, mat.rows).dim
+    d_out, d_in = (differential_matrix(profile, n, degree) for n in (length, length - 1))
+    return d_out.ncols - sum(GF2Subspace(d.ncols, d.rows).dim for d in (d_out, d_in))
 
 
 @lru_cache(maxsize=None)
@@ -367,15 +339,12 @@ def is_primitive(profile: Profile, m: Xi) -> bool:
 @lru_cache(maxsize=None)
 def _primitive_letters(profile: Profile, max_degree: int) -> Tuple[Tuple[int, int], ...]:
     """(t, s) with xi_t^{2^s} a surviving primitive, degree <= max_degree."""
-    out = []
-    t = 1
-    while (1 << t) - 1 <= max_degree:
-        s = 0
-        while (1 << s) * ((1 << t) - 1) <= max_degree:
-            if s < profile(t) and is_primitive(profile, ((t, 1 << s),)):
-                out.append((t, s))
-            s += 1
-        t += 1
+    out = [
+        (t, s)
+        for t in range(1, (max_degree + 1).bit_length())  # 2^t - 1 <= max_degree
+        for s in range((max_degree // ((1 << t) - 1)).bit_length())  # 2^s (2^t - 1) <= max_degree
+        if s < profile(t) and is_primitive(profile, ((t, 1 << s),))
+    ]
     return tuple(sorted(out, reverse=True))
 
 

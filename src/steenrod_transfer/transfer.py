@@ -13,11 +13,12 @@ image is a cocycle and its class is the value of the transfer.
 
 The image keeps only its slot factors (f_star(e_1) | ... | f_star(e_n)),
 one per surviving term.  The cocycle check differentiates the factors,
-so each slot's coproduct is formed and cancelled once per orbit of terms
-under slot permutations rather than once per word.  The words are built
-on demand, for printing or class solving; their count needs none of
-them.  It is exact: a letter in slot v has degree e_v + 1, so each word
-fixes its term, and distinct terms give distinct words.
+so each f_star's coproduct is cancelled once, and is_cocycle walks its
+choices once per orbit of terms under slot permutations rather than once
+per word, as cobar describes.  The words are built on demand, for
+printing or class solving; their count needs none of them.  It is exact:
+a letter in slot v has degree e_v + 1, so each word fixes its term, and
+distinct terms give distinct words.
 
 cocycle_verdicts checks the images of a whole basis by checking few of
 them.  Permuting slots commutes with the chain, Tr(sigma . x) =
