@@ -335,14 +335,8 @@ def action_matrix(op: Operation, rank: int, degree: int) -> GF2Matrix:
     ncols = basis_dim(rank, degree)
     if isinstance(op, Pst):
         return GF2Matrix(_pst_rows(rank, degree - op.degree, op.s, op.t, 0), ncols)
-    src_idx = _basis_index(rank, degree)
-    rows = []
-    for target in degree_basis(rank, degree - mono_degree(op)):
-        bits = 0
-        for f in expand_action(op, target):
-            bits |= 1 << src_idx[f]
-        rows.append(bits)
-    return GF2Matrix(rows, ncols)
+    targets = degree_basis(rank, degree - mono_degree(op))
+    return GF2Matrix([terms_to_coords(rank, degree, expand_action(op, e)) for e in targets], ncols)
 
 
 @lru_cache(maxsize=None)

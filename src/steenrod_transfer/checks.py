@@ -276,13 +276,7 @@ def crit_transfer_windows() -> List[CheckResult]:
     for m in range(1, 5):
         for s in range(m):
             k = (1 << s) * ((1 << m) - 1) - 1
-            prof = Profile.E(m)
-            ok = (
-                is_Em_annihilated_rank1(k, m)
-                and f_star(k, prof) == frozenset({xi(m, 1 << s)})
-                and transfer_class(HElement.b(k), prof) == frozenset({((m, s),)})
-            )
-            if not ok:
+            if not _spike_transfers(is_Em_annihilated_rank1(k, m), k, m, s, Profile.E(m)):
                 bad_spike.append((m, s))
     out.append(
         CheckResult(
@@ -292,6 +286,16 @@ def crit_transfer_windows() -> List[CheckResult]:
         )
     )
     return out
+
+
+def _spike_transfers(annihilated: bool, k: int, t: int, s: int, prof: Profile) -> bool:
+    """Whether b_k is annihilated, its f_star is the single monomial
+    xi_t^{2^s}, and its class is h_{t,s}."""
+    return (
+        annihilated
+        and f_star(k, prof) == frozenset({xi(t, 1 << s)})
+        and transfer_class(HElement.b(k), prof) == frozenset({((t, s),)})
+    )
 
 
 # -- the rank-2 degree-11 witness ----------------------------------------
@@ -555,16 +559,12 @@ def crit_degree17_existence() -> List[CheckResult]:
         )
     )
 
-    try:
-        cand = _hel(E0_CANDIDATE, 4, 17)
-    except ValueError as e:
-        detail = f"unparseable: {e}"
-    else:
-        in_kernel = kernel.contains(cand.to_coords())
-        detail = f"{len(cand.terms)} terms, annihilated: {in_kernel}"
-        if in_kernel:
-            cls = transfer_class(cand, E2)
-            detail += f", class = {hclass_str(cls) if cls else cls}"
+    cand = _hel(E0_CANDIDATE, 4, 17)
+    in_kernel = kernel.contains(cand.to_coords())
+    detail = f"{len(cand.terms)} terms, annihilated: {in_kernel}"
+    if in_kernel:
+        cls = transfer_class(cand, E2)
+        detail += f", class = {hclass_str(cls) if cls else cls}"
     out.append(CheckResult("candidate-fixture-report", True, detail))
     return out
 
@@ -769,15 +769,10 @@ def crit_diagonal_spikes() -> List[CheckResult]:
     out = []
     for t in range(1, 5):
         k = (1 << (t - 1)) * ((1 << t) - 1) - 1
-        ok = (
-            is_D_annihilated_rank1(k)
-            and f_star(k, DIAG) == frozenset({xi(t, 1 << (t - 1))})
-            and transfer_class(HElement.b(k), DIAG) == frozenset({((t, t - 1),)})
-        )
         out.append(
             CheckResult(
                 f"b{k}-maps-to-xi{t}^{1 << (t - 1)}",
-                ok,
+                _spike_transfers(is_D_annihilated_rank1(k), k, t, t - 1, DIAG),
                 f"image {sorted(f_star(k, DIAG))}",
             )
         )

@@ -53,6 +53,9 @@ MAX_DEGREE = 40
 # applies at rank <= 2 but not to --oracle, which enumerates and keeps
 # every Milnor basis element up to the degree
 MAX_DEGREE_LOW_RANK = 600
+# the largest E/D index or profile value --algebra reads; within the
+# degree budgets any value of 10 or more already acts as inf
+MAX_ALGEBRA_VALUE = 64
 
 
 def _check_budget(rank: int, degree: int, oracle: bool = False) -> None:
@@ -69,7 +72,14 @@ def _check_budget(rank: int, degree: int, oracle: bool = False) -> None:
 
 def parse_algebra(text: str) -> Profile:
     """A, E<m>, D<m>, D, or profile=v1,v2,... (last value repeats; 'inf'
-    for an unbounded tail)."""
+    for an unbounded tail); m and each v at most MAX_ALGEBRA_VALUE."""
+
+    def value(digits: str) -> int:
+        v = int(digits)
+        if v > MAX_ALGEBRA_VALUE:
+            raise ValueError(f"{v} exceeds {MAX_ALGEBRA_VALUE} in {text!r}")
+        return v
+
     t = text.strip()
     compact = t.replace("(", "").replace(")", "")
     if compact in ("A", "a"):
@@ -77,7 +87,7 @@ def parse_algebra(text: str) -> Profile:
     if compact in ("D", "d"):
         return Profile.D()
     if compact[:1] in ("E", "e", "D", "d") and compact[1:].isdigit():
-        m = int(compact[1:])
+        m = value(compact[1:])
         if m < 1:
             raise ValueError(f"need a positive index in {text!r}")
         return Profile.E(m) if compact[0] in ("E", "e") else Profile.D(m)
@@ -89,8 +99,8 @@ def parse_algebra(text: str) -> Profile:
         if parts[-1] in ("inf", "infinity"):
             tail_value, heads = None, parts[:-1]
         else:
-            tail_value, heads = int(parts[-1]), parts[:-1]
-        return Profile(tuple(int(p) for p in heads), "const", tail_value)
+            tail_value, heads = value(parts[-1]), parts[:-1]
+        return Profile(tuple(map(value, heads)), "const", tail_value)
     raise ValueError(f"cannot read algebra {text!r}")
 
 

@@ -5,9 +5,9 @@ deg(xi_t) = 2^t - 1.  A monomial is a tuple of (t, exponent) pairs with
 t strictly increasing and exponents positive; the empty tuple is 1.
 A polynomial is a frozenset of monomials (coefficients live in GF(2)).
 
-Coproduct: Delta(xi_n) = sum_i xi_{n-i}^{2^i} (x) xi_i, extended as an
-algebra map; powers are computed through the Frobenius, which on pairs
-just doubles exponents on both sides.
+Coproduct: Delta(xi_n) = sum_i xi_{n-i}^{2^i} (x) xi_i; it and the
+antipode extend from the xi_t as algebra maps (_extend), powers through
+the Frobenius, which on pairs just doubles exponents on both sides.
 
 A Profile records the function h with B* = A*/(xi_t^{2^h(t)}).  The dual
 sub-Hopf algebra B contains P_t^s exactly when s < h(t).  Profiles here
@@ -21,7 +21,7 @@ import bisect
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "Xi",
@@ -119,17 +119,24 @@ def _coproduct_xi(n: int) -> FrozenSet[Pair]:
     )
 
 
-@lru_cache(maxsize=None)
-def _coproduct_mono(m: Xi) -> FrozenSet[Pair]:
-    acc: FrozenSet[Pair] = frozenset({(ONE, ONE)})
+def _extend(m: Xi, image: Callable, mul: Callable, frob: Callable, one: FrozenSet):
+    """The algebra map with value image(t) on xi_t, at m: over the binary
+    digits j of each exponent, the product of the frob(image(t), j)."""
+    acc = one
     for t, e in m:
+        base = image(t)
         j = 0
         while e:
             if e & 1:
-                acc = _pair_mul(acc, _pair_frobenius(_coproduct_xi(t), j))
+                acc = mul(acc, frob(base, j))
             e >>= 1
             j += 1
     return acc
+
+
+@lru_cache(maxsize=None)
+def _coproduct_mono(m: Xi) -> FrozenSet[Pair]:
+    return _extend(m, _coproduct_xi, _pair_mul, _pair_frobenius, frozenset({(ONE, ONE)}))
 
 
 def coproduct(m: Xi, profile: Optional["Profile"] = None) -> FrozenSet[Pair]:
@@ -158,26 +165,12 @@ def _antipode_xi(n: int) -> DualPoly:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _antipode_mono(m: Xi) -> DualPoly:
-    acc: DualPoly = frozenset({ONE})
-    for t, e in m:
-        base = _antipode_xi(t)
-        j = 0
-        while e:
-            if e & 1:
-                acc = poly_mul(acc, frobenius(base, j))
-            e >>= 1
-            j += 1
-    return acc
-
-
 def antipode(p: Union[Xi, DualPoly]) -> DualPoly:
     if isinstance(p, tuple):
-        return _antipode_mono(p)
+        return _extend(p, _antipode_xi, poly_mul, frobenius, frozenset({ONE}))
     acc: DualPoly = ZERO
     for m in p:
-        acc = poly_add(acc, _antipode_mono(m))
+        acc = poly_add(acc, antipode(m))
     return acc
 
 

@@ -102,15 +102,10 @@ def slot_types(profile: Profile, rank: int, degree: int) -> List[Tuple[int, ...]
 
 
 class TransferImage(NamedTuple):
-    """Image of a homology element in the length-rank cobar cell.
+    """Image of a homology element in the length-rank cobar cell: factors
+    holds (f_star(e_1), ..., f_star(e_n)) per term, and the words are
+    their expansion."""
 
-    degree is the cobar degree, homology degree + rank; factors holds
-    (f_star(e_1), ..., f_star(e_n)) per term, and the words are their
-    expansion.
-    """
-
-    rank: int
-    degree: int
     factors: FrozenSet[Tuple[DualPoly, ...]]
 
     @property
@@ -126,7 +121,7 @@ class TransferImage(NamedTuple):
 
 def transfer_chain(x: HElement, profile: Profile = Profile.full()) -> TransferImage:
     factors = (tuple(f_star(e, profile) for e in term) for term in x.terms)
-    return TransferImage(x.rank, x.degree + x.rank, frozenset(p for p in factors if all(p)))
+    return TransferImage(frozenset(p for p in factors if all(p)))
 
 
 def cocycle_verdicts(

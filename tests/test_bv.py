@@ -355,7 +355,7 @@ class TestSummands:
             assert [x > 0 for x in e] == [x > 0 for x in f]
 
     @pytest.mark.parametrize("name", sorted(PROFILES))
-    @pytest.mark.parametrize("rank, top", [(1, 40), (2, 24), (3, 16), (4, 12)], ids=["r1", "r2", "r3", "r4"])
+    @pytest.mark.parametrize("rank, top", [(1, 40), (2, 24), (3, 18), (4, 14)], ids=["r1", "r2", "r3", "r4"])
     def test_matches_exhaustive(self, name, rank, top):
         prof = PROFILES[name]
         for d in range(top + 1):

@@ -70,6 +70,13 @@ def test_e0_candidate_report():
     assert report.detail == "44 terms, annihilated: True, class = h_{2,1}^3 h_{2,0}"
 
 
+def test_unreadable_candidate_is_an_error(monkeypatch):
+    # a criterion that cannot read its own element fails; it does not pass
+    monkeypatch.setattr(checks, "E0_CANDIDATE", "2555+x")
+    with pytest.raises(ValueError, match="cannot read 'x'"):
+        checks.run_criterion("rank4-degree17-existence")
+
+
 @pytest.mark.parametrize("a", range(2, 7))
 def test_spike_pairs(a):
     pairs = spike_pairs(a)

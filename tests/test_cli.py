@@ -23,6 +23,15 @@ from steenrod_transfer.transfer import transfer_chain
 SRC = str(Path(steenrod_transfer.__file__).resolve().parent.parent)
 
 
+# --algebra values past cli.MAX_ALGEBRA_VALUE, too large for an index-sized int
+OVER_RANGE = (
+    "E99999999999999999999",
+    "D99999999999999999999",
+    "profile=99999999999999999999",
+    "profile=1,99999999999999999999",
+)
+
+
 def set_cpus(monkeypatch, n):
     """Make the CLI see n CPUs, so that it uses n workers (or none for 1)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -64,13 +73,14 @@ class TestParsing:
         assert parse_algebra("e3") == Profile.E(3)
         assert parse_algebra("D2") == Profile.D(2)
         assert parse_algebra("d(1)") == Profile.D(1)
+        assert parse_algebra("E64") == Profile.E(64)
 
     def test_profile_literal(self):
         assert parse_algebra("profile=0,1,1") == Profile((0, 1), "const", 1)
         assert parse_algebra("profile=2,inf") == Profile((2,), "const", None)
 
     def test_bad_algebra(self):
-        for bad in ("B", "E0", "Ex", "profile=", ""):
+        for bad in ("B", "E0", "Ex", "profile=", "", "E65", "D65", "profile=65"):
             with pytest.raises(ValueError):
                 parse_algebra(bad)
 
@@ -237,7 +247,10 @@ class TestBadArguments:
             (["table", "--algebra", "A", "--rank", "1", "--degree-range", "3-9"], "--degree-range"),
             (["annihilated", "--algebra", "Q", "--rank", "1", "--degree", "3"], "--algebra"),
             (["transfer", "--algebra", "profile=1,x", "--rank", "2", "--degree", "3"], "--algebra"),
-        ],
+            (["transfer", "--algebra", "E65", "--rank", "1", "--degree", "3"], "--algebra"),
+        ]
+        + [(["transfer", "--algebra", a, "--rank", "1", "--degree", "3"], "--algebra") for a in OVER_RANGE]
+        + [(["table", "--algebra", a, "--rank", "1", "--degree-range", "3..3"], "--algebra") for a in OVER_RANGE],
         ids=[
             "rank-zero",
             "transfer-rank-zero",
@@ -246,7 +259,10 @@ class TestBadArguments:
             "malformed-range",
             "unknown-algebra",
             "bad-profile-literal",
-        ],
+            "algebra-above-bound",
+        ]
+        + [f"transfer-{a}" for a in OVER_RANGE]
+        + [f"table-{a}" for a in OVER_RANGE],
     )
     def test_rejected_while_parsing(self, capsys, argv, flag):
         # exit 2 with a message naming the flag, before any computation
