@@ -7,7 +7,11 @@ embeds them over every support (with Wood's vanishing, Kameko's doubling
 and the closed-form ker Sq^1 start), with the direct route: the common
 kernel of the full-space action matrices of every generator, from all of
 H_degree.  The coinvariant dimensions of the two subspaces are compared
-too.
+too.  At ranks 1-3 the default route is also compared with the
+exhaustive oracle (annihilated_subspace with exhaustive=True), the
+common kernel of every Milnor basis element of positive degree, whose
+matrices come from expand_action's coaction walk, so each run of the
+script also checks that walk at scale.
 
     python scripts/check_reductions.py                # A, E1-E3, D: r1-4 d0-35, r5 d0-19; A r4 d36-40
     python scripts/check_reductions.py --ranks 1,2,3 --max-degree 20
@@ -15,8 +19,9 @@ too.
 The window is every cell up to degree 35 at ranks 1-4 and 19 at rank 5,
 and the full algebra's rank-4 cells of degrees 36 to 40.  The direct
 route fits the default bit budget on all of them: it holds at most
-2^29.8 bits at once, at A r4 d40.  Prints one line per algebra and rank
-and exits 1 at the first mismatch.
+2^29.8 bits at once, at A r4 d40.  The oracle adds ~9 s to the ~57 s
+of the whole window on a 2-vCPU machine, most of it at A r3.  Prints
+one line per algebra and rank and exits 1 at the first mismatch.
 """
 
 import argparse
@@ -34,6 +39,9 @@ PROFILES = {"A": Profile.full(), "E1": Profile.E(1), "E2": Profile.E(2), "E3": P
 
 # largest degree checked per rank
 WINDOW = {1: 35, 2: 35, 3: 35, 4: 35, 5: 19}
+
+# ranks at which the exhaustive oracle is compared too
+ORACLE_RANKS = (1, 2, 3)
 
 # full-algebra rank-4 degrees past the window; at d40 the direct route
 # stacks the images of 12,341 unit vectors over 40,914 rows
@@ -54,6 +62,12 @@ def check_cell(name, rank, d):
     if reduced != direct:
         print(f"MISMATCH {name} r{rank} d{d}: reduced dim {reduced.dim}, direct dim {direct.dim}")
         return False
+    if rank in ORACLE_RANKS:
+        oracle = annihilated_subspace(profile, rank, d, exhaustive=True)
+        action_matrix.cache_clear()
+        if reduced != oracle:
+            print(f"MISMATCH {name} r{rank} d{d}: reduced dim {reduced.dim}, oracle dim {oracle.dim}")
+            return False
     dims = {coinvariant_quotient(space, rank, d).dim for space in (reduced, direct)}
     if len(dims) != 1:
         print(f"MISMATCH {name} r{rank} d{d}: coinvariant dims {sorted(dims)}")
@@ -78,7 +92,8 @@ def main(argv=None):
             start = time.perf_counter()
             if not all(check_cell(name, rank, d) for d in degrees):
                 return 1
-            print(f"{name} r{rank} d0..{degrees[-1]}: reduced = direct ({time.perf_counter() - start:.1f} s)")
+            routes = "direct = oracle" if rank in ORACLE_RANKS else "direct"
+            print(f"{name} r{rank} d0..{degrees[-1]}: reduced = {routes} ({time.perf_counter() - start:.1f} s)")
     return 0
 
 

@@ -154,9 +154,6 @@ def coords_to_terms(rank: int, degree: int, v: int) -> FrozenSet[Monomial]:
     return frozenset(terms)
 
 
-_set_field = object.__setattr__
-
-
 class GradedElement:
     """A homogeneous element of rank and degree fixed, as a set of exponent
     tuples with coefficients in GF(2).  Immutable, equal only within one
@@ -172,19 +169,19 @@ class GradedElement:
                 raise ValueError(f"bad term {m} for rank {rank}")
             if sum(m) != degree:
                 raise ValueError(f"term {m} not of degree {degree}")
-        _set_field(self, "rank", rank)
-        _set_field(self, "degree", degree)
-        _set_field(self, "terms", terms)
+        _set_rank(self, rank)
+        _set_degree(self, degree)
+        _set_terms(self, terms)
 
     @classmethod
     def _unchecked(cls, rank: int, degree: int, terms: FrozenSet[Monomial]):
         """The element of terms that the library itself produced, of this
         rank and degree by construction, so not checked again: the
         constructor is for terms from outside."""
-        self = object.__new__(cls)
-        _set_field(self, "rank", rank)
-        _set_field(self, "degree", degree)
-        _set_field(self, "terms", terms)
+        self = _new(cls)
+        _set_rank(self, rank)
+        _set_degree(self, degree)
+        _set_terms(self, terms)
         return self
 
     def __setattr__(self, name, value):
@@ -230,6 +227,13 @@ class GradedElement:
         return cls._unchecked(rank, degree, coords_to_terms(rank, degree, v))
 
 
+# every constructor fills the slots through their descriptors: __setattr__ raises
+_new = object.__new__
+_set_rank = GradedElement.rank.__set__
+_set_degree = GradedElement.degree.__set__
+_set_terms = GradedElement.terms.__set__
+
+
 class HElement(GradedElement):
     """A homogeneous element of H_degree(BV_rank), as a set of b_E terms."""
 
@@ -239,7 +243,11 @@ class HElement(GradedElement):
     def b(cls, *exponents: int) -> "HElement":
         if min(exponents, default=0) < 0:
             raise ValueError(f"negative exponent in {exponents}")
-        return cls._unchecked(len(exponents), sum(exponents), frozenset({exponents}))
+        self = _new(cls)
+        _set_rank(self, len(exponents))
+        _set_degree(self, sum(exponents))
+        _set_terms(self, frozenset((exponents,)))
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -269,18 +277,31 @@ def expand_action(mu: Xi, source: Monomial) -> FrozenSet[Monomial]:
     The variables are walked breadth-first over the states (owed to each
     xi_t, target exponents so far), kept mod 2; in one variable the xi_t
     take disjoint submasks of its exponent, each at most what it is owed.
+    Once no later variable has a positive exponent, the variable must pay
+    each xi_t all it still owes, so that is the one split tried.
     """
+    weights = tuple((1 << t) - 1 for t, _ in mu)
+    paid = (0,) * len(mu)
     states = {(tuple(e for _, e in mu), ())}
     left = sum(source)
     for ev in source:
         left -= ev
         nxt: set = set()
         for owed, target in states:
+            if not left:
+                free = fv = ev
+                for w, r in zip(weights, owed):
+                    if r & free != r:
+                        break
+                    free ^= r
+                    fv += r * w
+                else:
+                    nxt.symmetric_difference_update(((paid, target + (fv,)),))
+                continue
             # (digits still free, owed after the xi_t so far, target exponent)
             splits = [(ev, (), ev)]
-            for (t, _), r in zip(mu, owed):
+            for w, r in zip(weights, owed):
                 low = (1 << r.bit_length()) - 1
-                w = (1 << t) - 1
                 more = []
                 for free, done, fv in splits:
                     cand = free & low
@@ -428,17 +449,24 @@ def right_action(x: HElement, op: Operation) -> HElement:
     A Pst maps each term forward by the closed-form rule; any other
     operation scans the target basis through expand_action.
     """
+    terms = x.terms
     if isinstance(op, Pst):
-        out: set = set()
-        for source in x.terms:
-            out.symmetric_difference_update(_pst_image(source, op.s, op.t))
-        return HElement._unchecked(x.rank, x.degree - op.degree, frozenset(out))
-    k = mono_degree(op)
-    hits = set()
-    for target in degree_basis(x.rank, x.degree - k):
-        if len(expand_action(op, target) & x.terms) & 1:
-            hits.add(target)
-    return HElement._unchecked(x.rank, x.degree - k, frozenset(hits))
+        s, t = op
+        if len(terms) == 1:
+            # one source's images are distinct, so nothing cancels
+            (source,) = terms
+            out = frozenset(_pst_image(source, s, t))
+        else:
+            acc: set = set()
+            for source in terms:
+                acc.symmetric_difference_update(_pst_image(source, s, t))
+            out = frozenset(acc)
+        return HElement._unchecked(x.rank, x.degree - ((1 << s) * ((1 << t) - 1)), out)
+    degree = x.degree - mono_degree(op)
+    hits = frozenset(
+        target for target in degree_basis(x.rank, degree) if len(expand_action(op, target) & terms) & 1
+    )
+    return HElement._unchecked(x.rank, degree, hits)
 
 
 def annihilated_subspace(

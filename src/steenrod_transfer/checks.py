@@ -142,9 +142,10 @@ def crit_rank1_action_binomial() -> List[CheckResult]:
         bad = []
         for s in range(5):
             for t in range(1, 6):
+                op = route(Pst(s, t))
                 drop = (1 << s) * ((1 << t) - 1)
                 for k in range(drop, 257):
-                    got = right_action(HElement.b(k), route(Pst(s, t)))
+                    got = right_action(HElement.b(k), op)
                     want = {(k - drop,)} if _binom_odd(k - drop, 1 << s) else set()
                     if got.terms != frozenset(want):
                         bad.append((k, s, t))
@@ -160,13 +161,13 @@ def crit_rank1_action_binomial() -> List[CheckResult]:
 def crit_rank1_annihilation() -> List[CheckResult]:
     out = []
     # the (k, s, t) with b_k P_t^s != 0, k <= 256; both predicates read it
-    nonzero = {
-        (k, s, t)
-        for s in range(5)
-        for t in range(1, 6)
-        for k in range((1 << s) * ((1 << t) - 1), 257)
-        if not right_action(HElement.b(k), Pst(s, t)).is_zero()
-    }
+    nonzero = set()
+    for s in range(5):
+        for t in range(1, 6):
+            op = Pst(s, t)
+            nonzero.update(
+                (k, s, t) for k in range(op.degree, 257) if not right_action(HElement.b(k), op).is_zero()
+            )
 
     bad_vanish = [
         (k, s, t)

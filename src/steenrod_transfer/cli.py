@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -70,9 +71,13 @@ def _check_budget(rank: int, degree: int, oracle: bool = False) -> None:
 # -- argument parsing ------------------------------------------------------
 
 
+_ALGEBRA_NAME = re.compile(r"([AaDd])|([EeDd])(?:([0-9]+)|\(([0-9]+)\))")
+
+
 def parse_algebra(text: str) -> Profile:
-    """A, E<m>, D<m>, D, or profile=v1,v2,... (last value repeats; 'inf'
-    for an unbounded tail); m and each v at most MAX_ALGEBRA_VALUE."""
+    """A, D, E<m>, E(<m>), D<m>, D(<m>) (either case), or
+    profile=v1,v2,... (last value repeats; 'inf' for an unbounded tail);
+    m and each v at most MAX_ALGEBRA_VALUE."""
 
     def value(digits: str) -> int:
         v = int(digits)
@@ -81,16 +86,15 @@ def parse_algebra(text: str) -> Profile:
         return v
 
     t = text.strip()
-    compact = t.replace("(", "").replace(")", "")
-    if compact in ("A", "a"):
-        return Profile.full()
-    if compact in ("D", "d"):
-        return Profile.D()
-    if compact[:1] in ("E", "e", "D", "d") and compact[1:].isdigit():
-        m = value(compact[1:])
+    name = _ALGEBRA_NAME.fullmatch(t)
+    if name is not None:
+        bare, letter, digits, enclosed = name.groups()
+        if bare is not None:
+            return Profile.full() if bare in "Aa" else Profile.D()
+        m = value(digits or enclosed)
         if m < 1:
             raise ValueError(f"need a positive index in {text!r}")
-        return Profile.E(m) if compact[0] in ("E", "e") else Profile.D(m)
+        return Profile.E(m) if letter in "Ee" else Profile.D(m)
     if t.startswith("profile="):
         parts = [p.strip() for p in t[len("profile=") :].split(",") if p.strip()]
         if not parts:
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--algebra",
             type=_algebra_arg,
             required=True,
-            help="A, E<m>, D<m>, D, or profile=v1,v2,... (last value repeats)",
+            help="A, E<m>, E(<m>), D<m>, D(<m>), D, or profile=v1,v2,... (last value repeats)",
         )
         p.add_argument("--rank", type=_bounded_int(1), required=True)
         if degree:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import re
 
 import pytest
@@ -120,6 +121,21 @@ class TestHElement:
     def test_coords_roundtrip(self, x):
         assert HElement.from_coords(x.rank, x.degree, x.to_coords()) == x
 
+    @given(helements(max_rank=4, max_degree=12))
+    def test_built_without_checks_like_constructor(self, x):
+        # b and from_coords fill the slots without the constructor's checks
+        built = [HElement.from_coords(x.rank, x.degree, x.to_coords())]
+        if len(x.terms) == 1:
+            built.append(HElement.b(*next(iter(x.terms))))
+        for y in built:
+            assert type(y) is HElement
+            assert y == x and hash(y) == hash(x)
+            loaded = pickle.loads(pickle.dumps(y))
+            assert loaded == x and hash(loaded) == hash(x)
+            for name in ("rank", "degree", "terms", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(y, name, None)
+
     @given(helements())
     def test_dict_shape(self, x):
         d = x.to_dict()
@@ -144,6 +160,18 @@ class TestRankOneAction:
         # zero iff k < 2^{s+t} or bit s of k is set
         got = right_action(HElement.b(k), Pst(s, t))
         assert got.is_zero() == (k < 1 << (s + t) or bool(k >> s & 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(helements(max_rank=4, max_degree=16), st.integers(0, 3), st.integers(1, 3))
+    def test_additive_over_terms(self, x, s, t):
+        # the many-term path equals the sum of the one-term images
+        op = Pst(s, t)
+        total = HElement.zero(x.rank, x.degree - op.degree)
+        for term in x.terms:
+            one = right_action(HElement.b(*term), op)
+            assert len(one.terms) == len(_pst_image(term, s, t))
+            total ^= one
+        assert right_action(x, op) == total
 
     def test_specific_values(self):
         assert right_action(HElement.b(4), Pst(1, 1)) == HElement.b(2)
@@ -170,6 +198,51 @@ def brute_expand(mu, source):
         if paid == owed:
             out ^= {tuple(target)}
     return frozenset(out)
+
+
+def submask_expand(mu, source):
+    """expand_action as a breadth-first walk over the variables in which
+    every variable, the last included, enumerates every split of its
+    binary digits among the xi_t (disjoint submasks, each at most what
+    that xi_t is owed) and keeps the splits the later variables can
+    still pay for."""
+    states = {(tuple(e for _, e in mu), ())}
+    left = sum(source)
+    for ev in source:
+        left -= ev
+        nxt = set()
+        for owed, target in states:
+            splits = [(ev, (), ev)]
+            for (t, _), r in zip(mu, owed):
+                low = (1 << r.bit_length()) - 1
+                w = (1 << t) - 1
+                more = []
+                for free, done, fv in splits:
+                    cand = free & low
+                    a = cand
+                    while True:
+                        if a <= r:
+                            more.append((free ^ a, done + (r - a,), fv + a * w))
+                        if not a:
+                            break
+                        a = (a - 1) & cand
+                splits = more
+            for _, done, fv in splits:
+                if sum(done) <= left:
+                    nxt ^= {(done, target + (fv,))}
+        states = nxt
+    return frozenset(target for owed, target in states if not any(owed))
+
+
+REFERENCE_PROFILES = {"A": Profile.full(), "E2": Profile.E(2), "D": Profile.D()}
+
+
+@st.composite
+def milnor_monomials(draw, max_degree=16):
+    """A Milnor basis monomial of A, E2 or D of degree at most max_degree."""
+    prof = REFERENCE_PROFILES[draw(st.sampled_from(sorted(REFERENCE_PROFILES)))]
+    basis = [mu for d in range(max_degree + 1) for mu in dual_basis(prof, d)]
+    return draw(st.sampled_from(basis))
 
 
 class TestExpandAction:
@@ -202,6 +275,23 @@ class TestExpandAction:
                     for degree in range(13):
                         for source in degree_basis(rank, degree):
                             assert expand_action(mu, source) == brute_expand(mu, source)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PROFILES))
+    def test_matches_submask_enumeration(self, name):
+        # every Milnor monomial up to degree 12 on every source of rank
+        # <= 3 and degree <= 12
+        prof = REFERENCE_PROFILES[name]
+        for d in range(13):
+            for mu in dual_basis(prof, d):
+                for rank in (1, 2, 3):
+                    for degree in range(13):
+                        for source in degree_basis(rank, degree):
+                            assert expand_action(mu, source) == submask_expand(mu, source), (mu, source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(milnor_monomials(), st.tuples(*[st.integers(0, 12)] * 4))
+    def test_matches_submask_enumeration_rank4(self, mu, source):
+        assert expand_action(mu, source) == submask_expand(mu, source)
 
 
 class TestActionMatrix:

@@ -32,6 +32,10 @@ OVER_RANGE = (
 )
 
 
+# --algebra values with a parenthesis missing, doubled or out of place
+MISPLACED_PARENS = ("E)2(", "E(2", "D((3", "(A", "A()", "D()", "(E2)", "E(2))")
+
+
 def set_cpus(monkeypatch, n):
     """Make the CLI see n CPUs, so that it uses n workers (or none for 1)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -73,6 +77,7 @@ class TestParsing:
         assert parse_algebra("e3") == Profile.E(3)
         assert parse_algebra("D2") == Profile.D(2)
         assert parse_algebra("d(1)") == Profile.D(1)
+        assert parse_algebra("D(3)") == Profile.D(3)
         assert parse_algebra("E64") == Profile.E(64)
 
     def test_profile_literal(self):
@@ -80,7 +85,7 @@ class TestParsing:
         assert parse_algebra("profile=2,inf") == Profile((2,), "const", None)
 
     def test_bad_algebra(self):
-        for bad in ("B", "E0", "Ex", "profile=", "", "E65", "D65", "profile=65"):
+        for bad in ("B", "E0", "Ex", "profile=", "", "E65", "D65", "profile=65") + MISPLACED_PARENS:
             with pytest.raises(ValueError):
                 parse_algebra(bad)
 
@@ -250,7 +255,8 @@ class TestBadArguments:
             (["transfer", "--algebra", "E65", "--rank", "1", "--degree", "3"], "--algebra"),
         ]
         + [(["transfer", "--algebra", a, "--rank", "1", "--degree", "3"], "--algebra") for a in OVER_RANGE]
-        + [(["table", "--algebra", a, "--rank", "1", "--degree-range", "3..3"], "--algebra") for a in OVER_RANGE],
+        + [(["table", "--algebra", a, "--rank", "1", "--degree-range", "3..3"], "--algebra") for a in OVER_RANGE]
+        + [(["annihilated", "--algebra", a, "--rank", "1", "--degree", "3"], "--algebra") for a in MISPLACED_PARENS],
         ids=[
             "rank-zero",
             "transfer-rank-zero",
@@ -262,7 +268,8 @@ class TestBadArguments:
             "algebra-above-bound",
         ]
         + [f"transfer-{a}" for a in OVER_RANGE]
-        + [f"table-{a}" for a in OVER_RANGE],
+        + [f"table-{a}" for a in OVER_RANGE]
+        + [f"parens-{a}" for a in MISPLACED_PARENS],
     )
     def test_rejected_while_parsing(self, capsys, argv, flag):
         # exit 2 with a message naming the flag, before any computation
