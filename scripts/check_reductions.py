@@ -11,7 +11,12 @@ too.  At ranks 1-3 the default route is also compared with the
 exhaustive oracle (annihilated_subspace with exhaustive=True), the
 common kernel of every Milnor basis element of positive degree, whose
 matrices come from expand_action's coaction walk, so each run of the
-script also checks that walk at scale.
+script also checks that walk at scale.  Over the full algebra at ranks
+1-4, dim H_degree - dim (A^+ H^*)_degree, from hit.decomposables, must
+equal the annihilated dimension: the hit subspace is the annihilator of
+the annihilated space under the duality of H^* and H_*, so this checks
+the Cartan-formula code of hit.py, which shares nothing with the action
+routes, on every such cell of the window.
 
     python scripts/check_reductions.py                # A, E1-E3, D: r1-4 d0-35, r5 d0-19; A r4 d36-40
     python scripts/check_reductions.py --ranks 1,2,3 --max-degree 20
@@ -19,9 +24,10 @@ script also checks that walk at scale.
 The window is every cell up to degree 35 at ranks 1-4 and 19 at rank 5,
 and the full algebra's rank-4 cells of degrees 36 to 40.  The direct
 route fits the default bit budget on all of them: it holds at most
-2^29.8 bits at once, at A r4 d40.  The oracle adds ~9 s to the ~57 s
-of the whole window on a 2-vCPU machine, most of it at A r3.  Prints
-one line per algebra and rank and exits 1 at the first mismatch.
+2^29.8 bits at once, at A r4 d40.  The whole window takes ~50 s on a
+2-vCPU machine; the oracle adds ~9 s of it, most of it at A r3, and the
+hit subspaces ~3 s, most of it at A r4 d25-40.  Prints one line per
+algebra and rank and exits 1 at the first mismatch.
 """
 
 import argparse
@@ -33,6 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from steenrod_transfer.bv import action_matrix, annihilated_subspace, basis_dim, coinvariant_quotient
 from steenrod_transfer.gf2 import common_kernel
+from steenrod_transfer.hit import decomposables
 from steenrod_transfer.milnor import Profile, generators
 
 PROFILES = {"A": Profile.full(), "E1": Profile.E(1), "E2": Profile.E(2), "E3": Profile.E(3), "D": Profile.D()}
@@ -42,6 +49,9 @@ WINDOW = {1: 35, 2: 35, 3: 35, 4: 35, 5: 19}
 
 # ranks at which the exhaustive oracle is compared too
 ORACLE_RANKS = (1, 2, 3)
+
+# ranks at which the full algebra's hit subspace is compared too
+DUALITY_RANKS = (1, 2, 3, 4)
 
 # full-algebra rank-4 degrees past the window; at d40 the direct route
 # stacks the images of 12,341 unit vectors over 40,914 rows
@@ -68,6 +78,11 @@ def check_cell(name, rank, d):
         if reduced != oracle:
             print(f"MISMATCH {name} r{rank} d{d}: reduced dim {reduced.dim}, oracle dim {oracle.dim}")
             return False
+    if name == "A" and rank in DUALITY_RANKS:
+        unhit = basis_dim(rank, d) - decomposables(rank, d).dim
+        if unhit != reduced.dim:
+            print(f"MISMATCH A r{rank} d{d}: annihilated dim {reduced.dim}, unhit dim {unhit}")
+            return False
     dims = {coinvariant_quotient(space, rank, d).dim for space in (reduced, direct)}
     if len(dims) != 1:
         print(f"MISMATCH {name} r{rank} d{d}: coinvariant dims {sorted(dims)}")
@@ -93,6 +108,8 @@ def main(argv=None):
             if not all(check_cell(name, rank, d) for d in degrees):
                 return 1
             routes = "direct = oracle" if rank in ORACLE_RANKS else "direct"
+            if name == "A" and rank in DUALITY_RANKS:
+                routes += " = dim H - hit"
             print(f"{name} r{rank} d0..{degrees[-1]}: reduced = {routes} ({time.perf_counter() - start:.1f} s)")
     return 0
 

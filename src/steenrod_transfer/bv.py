@@ -71,7 +71,7 @@ from typing import (
 )
 
 from .gf2 import GF2Matrix, GF2Subspace, common_kernel, image_of
-from .milnor import Profile, Pst, Xi, dual_basis, generators, mono_degree
+from .milnor import Profile, Pst, Xi, dual_basis, generator_degrees, mono_degree
 
 __all__ = [
     "Monomial",
@@ -191,7 +191,9 @@ class GradedElement:
         raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(rank={self.rank!r}, degree={self.degree!r}, terms={self.terms!r})"
+        # sorted, so that equal elements print alike however their sets were built
+        terms = f"frozenset({{{', '.join(map(repr, sorted(self.terms)))}}})" if self.terms else "frozenset()"
+        return f"{type(self).__name__}(rank={self.rank!r}, degree={self.degree!r}, terms={terms})"
 
     def __reduce__(self):
         return type(self), (self.rank, self.degree, self.terms)
@@ -500,12 +502,13 @@ def _annihilated(profile: Profile, rank: int, degree: int) -> GF2Subspace:
     """The default route of annihilated_subspace: the annihilated positive
     part of each size k (_positive), embedded over the C(rank, k)
     supports of that size.  Embedding keeps the order of the monomials
-    and different supports share none, so the union is already reduced.
+    and different supports share none, so the union is already reduced
+    and is not eliminated again.
     """
     dim = basis_dim(rank, degree)
     if degree == 0:
         return GF2Subspace(dim, (1,))  # b_0 is killed by everything
-    return GF2Subspace(dim, _embed_supports(rank, degree, lambda k: _positive(profile, k, degree)))
+    return GF2Subspace._from_reduced(dim, _embed_supports(rank, degree, lambda k: _positive(profile, k, degree)))
 
 
 def _embed_supports(rank: int, degree: int, positive: Callable[[int], Sequence[int]]) -> List[int]:
@@ -583,19 +586,20 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
                 _annihilated(profile, rank, half).basis,
                 lambda i: 1 << idx[tuple(2 * e + 1 for e in low[i])],
             )
-    ops = [op for op in generators(profile, degree) if 1 << (op.s + op.t) <= degree]
+    # (|P_t^s|, s, t), the degrees as cached with the generators
+    ops = [(d, s, t) for (s, t), d in zip(*generator_degrees(profile, degree)) if 1 << (s + t) <= degree]
     start = None
-    if ops[:1] == [Pst(0, 1)]:
+    if ops and ops[0] == (1, 0, 1):  # Sq^1
         ops, start = ops[1:], _sq1_kernel(rank, degree)
         if not start:
             return ()
-    # row counts: the positive part in degree degree - |P_t^s| >= 1 has
-    # basis_dim's C(degree - |P_t^s| - 1, rank - 1), counted inline since
-    # it runs for every generator of every cell
+    # row and column counts: the positive part in degree d >= 1 has
+    # basis_dim's C(d - 1, rank - 1), counted inline since it runs for
+    # every generator of every cell
     return common_kernel(
-        [math.comb(degree - op.degree - 1, rank - 1) for op in ops],
-        lambda k: _pst_rows(rank, degree - ops[k].degree, ops[k].s, ops[k].t, 1),
-        basis_dim(rank, degree, 1),
+        [math.comb(degree - d - 1, rank - 1) for d, _, _ in ops],
+        lambda k: _pst_rows(rank, degree - ops[k][0], ops[k][1], ops[k][2], 1),
+        math.comb(degree - 1, rank - 1),
         start,
     ).basis
 

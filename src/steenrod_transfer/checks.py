@@ -130,11 +130,18 @@ def _binom_odd(n: int, r: int) -> bool:
     return n >= r >= 0 and (n - r) & r == 0
 
 
+def _rank1_elements() -> List[HElement]:
+    """b_0, ..., b_256, built once for a rank-1 criterion's whole window."""
+    return [HElement.b(k) for k in range(257)]
+
+
 def crit_rank1_action_binomial() -> List[CheckResult]:
     """right_action on b_k agrees with b_k P_t^s = C(k-2^s(2^t-1), 2^s) b_{k-2^s(2^t-1)},
     both through the coaction (expand_action, via P_t^s dual) and through
     the closed-form forward rule (via the Pst itself)."""
     out = []
+    elements = _rank1_elements()
+    singletons = [frozenset({(j,)}) for j in range(257)]
     for name, route in (
         ("coaction-route-equals-binomial", lambda op: op.dual),
         ("forward-rule-equals-binomial", lambda op: op),
@@ -145,9 +152,9 @@ def crit_rank1_action_binomial() -> List[CheckResult]:
                 op = route(Pst(s, t))
                 drop = (1 << s) * ((1 << t) - 1)
                 for k in range(drop, 257):
-                    got = right_action(HElement.b(k), op)
-                    want = {(k - drop,)} if _binom_odd(k - drop, 1 << s) else set()
-                    if got.terms != frozenset(want):
+                    got = right_action(elements[k], op)
+                    want = singletons[k - drop] if _binom_odd(k - drop, 1 << s) else frozenset()
+                    if got.terms != want:
                         bad.append((k, s, t))
         out.append(
             CheckResult(name, not bad, f"checked s<=4, t<=5, k<=256; mismatches: {bad[:5]}")
@@ -162,11 +169,12 @@ def crit_rank1_annihilation() -> List[CheckResult]:
     out = []
     # the (k, s, t) with b_k P_t^s != 0, k <= 256; both predicates read it
     nonzero = set()
+    elements = _rank1_elements()
     for s in range(5):
         for t in range(1, 6):
             op = Pst(s, t)
             nonzero.update(
-                (k, s, t) for k in range(op.degree, 257) if not right_action(HElement.b(k), op).is_zero()
+                (k, s, t) for k in range(op.degree, 257) if right_action(elements[k], op).terms
             )
 
     bad_vanish = [

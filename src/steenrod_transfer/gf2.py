@@ -178,7 +178,7 @@ def common_kernel(
     for k, nrows in enumerate(shapes):
         # before the first block only an empty start passes
         if (k or not basis) and _independent(stack):
-            return GF2Subspace(ncols, ())
+            return GF2Subspace._from_reduced(ncols, ())
         cols = _columns(rows(k), ncols)
         for i, b in enumerate(basis):
             stack[i] |= image_of(b, cols) << shift
@@ -194,6 +194,8 @@ def common_kernel(
         if v:
             survivors.append(v >> shift)
     del pivots
+    if len(survivors) < 2:  # one nonzero vector is already reduced
+        return GF2Subspace._from_reduced(ncols, survivors)
     return GF2Subspace(ncols, survivors)
 
 
@@ -227,6 +229,19 @@ class GF2Subspace:
         for r in self.basis:
             if r < 0 or r.bit_length() > ambient_dim:
                 raise ValueError("vector outside ambient space")
+
+    @classmethod
+    def _from_reduced(cls, ambient_dim: int, rows: Iterable[int]) -> "GF2Subspace":
+        """The span of rows that are already reduced: each nonzero, inside
+        the space, and with no bit at the lowest set bit of another, its
+        pivot.  Nothing is eliminated; the rows are only put in pivot order."""
+        self = cls.__new__(cls)
+        pivots = {(r & -r).bit_length() - 1: r for r in rows}
+        self._rows = {j: pivots[j] for j in sorted(pivots)}
+        self._pivot_bits = sum(1 << j for j in self._rows)
+        self.ambient_dim = ambient_dim
+        self.basis = tuple(self._rows.values())
+        return self
 
     @property
     def dim(self) -> int:

@@ -20,10 +20,11 @@ and only ever evaluated, never straightened through Adem relations.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .bv import GradedElement, Monomial, basis_dim, degree_basis, terms_to_coords
+from .bv import GradedElement, Monomial, basis_dim, degree_basis
 from .bv import _basis_index, _embed_supports  # coordinates of the support summands
 from .gf2 import GF2Matrix, GF2Subspace, _columns
 
@@ -60,48 +61,74 @@ class PolyElement(GradedElement):
         return PolyElement._unchecked(self.rank, self.degree + other.degree, frozenset(acc))
 
 
-def _sq_mono(i: int, mono: Monomial) -> Set[Monomial]:
-    """Sq^i on one monomial; Cartan over the variables, one at a time."""
-    partial = [((), i)]  # (exponents so far, part of i left)
-    left = sum(mono)
-    for e in mono:
-        left -= e
-        nxt = []
-        for acc, rem in partial:
-            # binom(e, j) odd iff the digits of j lie inside e; the later
-            # variables take rem - j, at most their degree
-            cand = e & ((1 << rem.bit_length()) - 1)
-            j = cand
-            while j >= rem - left:
-                if j <= rem:
-                    nxt.append((acc + (e + j,), rem - j))
-                if not j:
-                    break
-                j = (j - 1) & cand
-        partial = nxt
-    return {acc for acc, _ in partial}
+def _sq_mono(i: int, mono: Monomial, degree: int, least: int, tails: Dict) -> int:
+    """Sq^i on x^mono, a monomial of the given degree whose exponents are
+    all at least least, as a vector over degree_basis(len(mono),
+    degree + i, least), by the Cartan formula over the first variable:
+    Sq^i(x^e x^T) is the sum over the j with binom(e, j) odd, the digits
+    of j inside those of e, of x^(e+j) Sq^(i-j)(x^T).  The targets with
+    first exponent e + j form one block of the sorted basis, inside which
+    x^(e+j) x^U sits where x^U does one rank lower, so each term is the
+    tail's vector shifted to its block.  The tails' vectors are kept in
+    tails, keyed (i - j, T), for the caller's whole run."""
+    if not mono:  # the unit: Sq^0 1 = 1 and Sq^i 1 = 0 for i > 0
+        return int(not i)
+    e = mono[0]
+    tail = mono[1:]
+    if not tail:
+        return int(i & e == i)
+    left = degree - e
+    k = len(tail)
+    # the targets with first exponent at least f number
+    # C(degree + i - f - k least + k, k); those below e + j precede its block
+    rest = degree + i - e - k * least
+    top = math.comb(rest + e - least + k, k)
+    v = 0
+    cand = e & ((1 << i.bit_length()) - 1)
+    j = cand
+    while j >= i - left:  # the tail takes i - j, at most its degree
+        if j <= i:
+            key = (i - j, tail)
+            sub = tails.get(key)
+            if sub is None:
+                sub = tails[key] = _sq_mono(i - j, tail, left, least, tails)
+            if sub:
+                v |= sub << (top - math.comb(rest - j + k, k))
+        if not j:
+            break
+        j = (j - 1) & cand
+    return v
 
 
 def sq(i: int, p: PolyElement) -> PolyElement:
     """Total Steenrod square Sq^i."""
+    return _sq(i, p, {})
+
+
+def _sq(i: int, p: PolyElement, tails: Dict) -> PolyElement:
+    """Sq^i p, its monomials' images and their tails kept in tails, which
+    a caller may share between squares: keyed (i, T), a vector depends on
+    nothing else."""
     if i < 0:
         raise ValueError("negative square")
     if i == 0:
         return p
-    acc: Set[Monomial] = set()
+    v = 0
     for mono in p.terms:
-        acc ^= _sq_mono(i, mono)
-    return PolyElement._unchecked(p.rank, p.degree + i, frozenset(acc))
+        key = (i, mono)
+        w = tails.get(key)
+        if w is None:
+            w = tails[key] = _sq_mono(i, mono, p.degree, 0, tails)
+        v ^= w
+    return PolyElement.from_coords(p.rank, p.degree + i, v)
 
 
 @lru_cache(maxsize=None)
 def sq_matrix(i: int, rank: int, degree: int) -> GF2Matrix:
     """Matrix of Sq^i: H^degree -> H^{degree+i}, target rows over source
     columns, in degree_basis coordinates on both sides."""
-    cols = [
-        terms_to_coords(rank, degree + i, _sq_mono(i, mono) if i else {mono})
-        for mono in degree_basis(rank, degree)
-    ]
+    tails: Dict = {}
+    cols = [_sq_mono(i, mono, degree, 0, tails) for mono in degree_basis(rank, degree)]
     return GF2Matrix(_columns(cols, basis_dim(rank, degree + i)), len(cols))
 
 
@@ -110,17 +137,18 @@ def _positive_hit(rank: int, degree: int) -> GF2Subspace:
     """The hit subspace of the positive part of H^degree(BV_rank), for
     degree >= 1, in degree_basis(rank, degree, 1) coordinates.  The
     positive monomials of degree - 2^j span the source of Sq^(2^j)
-    there, since the squares keep the support."""
-    idx = _basis_index(rank, degree, 1)
+    there, since the squares keep the support.  The images are
+    eliminated sparsest first, which keeps the pivot rows sparse: at
+    rank 4, degree 20 that halves the elimination steps."""
+    tails: Dict = {}
     vectors: List[int] = []
     for j in range(degree.bit_length()):  # the 2^j <= degree
-        for mono in degree_basis(rank, degree - (1 << j), 1):
-            v = 0
-            for m in _sq_mono(1 << j, mono):
-                v |= 1 << idx[m]
+        source = degree - (1 << j)
+        for mono in degree_basis(rank, source, 1):
+            v = _sq_mono(1 << j, mono, source, 1, tails)
             if v:
                 vectors.append(v)
-    return GF2Subspace(len(idx), vectors)
+    return GF2Subspace(basis_dim(rank, degree, 1), sorted(vectors, key=int.bit_count))
 
 
 @lru_cache(maxsize=None)
@@ -170,10 +198,11 @@ def apply_op(compositions: Iterable[Tuple[int, ...]], p: PolyElement) -> PolyEle
     if any(sum(c) != k for c in comps):
         raise ValueError("inhomogeneous operation")
     total = PolyElement.zero(p.rank, p.degree + k)
+    tails: Dict = {}  # shared by every square of every composition
     for comp in comps:
         q = p
         for i in reversed(comp):
-            q = sq(i, q)
+            q = _sq(i, q, tails)
         total = total ^ q
     return total
 

@@ -18,6 +18,7 @@ they are closed under pointwise minimum.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -39,6 +40,7 @@ __all__ = [
     "Pst",
     "Profile",
     "generators",
+    "generator_degrees",
     "dual_basis",
 ]
 
@@ -316,8 +318,15 @@ def generators(profile: Profile, max_degree: int) -> Tuple[Pst, ...]:
     general.  The answer is a prefix of the cached list for the degrees
     below the next power of two, which is sorted by degree.
     """
+    return generator_degrees(profile, max_degree)[0]
+
+
+def generator_degrees(profile: Profile, max_degree: int) -> Tuple[Tuple[Pst, ...], Tuple[int, ...]]:
+    """generators(profile, max_degree) and their degrees, read from the
+    cached list rather than computed again."""
     ops, degrees = _generators_below(profile, max_degree.bit_length())
-    return ops[: bisect.bisect_right(degrees, max_degree)]
+    n = bisect.bisect_right(degrees, max_degree)
+    return ops[:n], degrees[:n]
 
 
 @lru_cache(maxsize=None)
@@ -343,22 +352,23 @@ def _generators_below(profile: Profile, bits: int) -> Tuple[Tuple[Pst, ...], Tup
 def dual_basis(profile: Profile, degree: int) -> Tuple[Xi, ...]:
     """All monomials of the quotient algebra in the given degree, built
     from the top xi_t down; xi_1 has degree 1, so its exponent is the
-    degree left over."""
-    if degree < 0:
-        return ()
+    degree left over.  Each xi_t takes at least what the xi_u with u < t
+    could not take at their largest surviving exponents."""
+    if degree < 1:
+        return (ONE,) if degree == 0 else ()
     tmax = 0
     while (1 << (tmax + 1)) - 1 <= degree:
         tmax += 1
+    caps = [0] + [degree if (h := profile(t)) == math.inf else (1 << int(h)) - 1 for t in range(1, tmax + 1)]
+    # below[t - 1]: the most degree the xi_u with u < t can take
+    below = list(itertools.accumulate((caps[u] * ((1 << u) - 1) for u in range(1, tmax)), initial=0))
     partial = [((), degree)]  # (pairs above t, ascending; degree left)
     for t in range(tmax, 1, -1):
         w = (1 << t) - 1
-        h = profile(t)
-        cap = degree if h == math.inf else (1 << int(h)) - 1
+        low = below[t - 1]
         partial = [
             (((t, e),) + acc if e else acc, rem - e * w)
             for acc, rem in partial
-            for e in range(min(rem // w, cap) + 1)
+            for e in range(max(0, -((low - rem) // w)), min(rem // w, caps[t]) + 1)
         ]
-    h1 = profile(1)
-    cap1 = degree if h1 == math.inf else (1 << int(h1)) - 1
-    return tuple(sorted(((1, rem),) + acc if rem else acc for acc, rem in partial if rem <= cap1))
+    return tuple(sorted(((1, rem),) + acc if rem else acc for acc, rem in partial if rem <= caps[1]))

@@ -65,20 +65,28 @@ def f_star(k: int, profile: Profile = Profile.full()) -> DualPoly:
 
 @lru_cache(maxsize=None)
 def _rank1(profile: Profile, i: int, rem: int) -> DualPoly:
-    """The coefficient of x^rem in the factors from i on; no k enters it,
-    so every f_star of one profile shares it."""
+    """The coefficient of x^rem in the factors from i on, for rem a
+    multiple of 2^i; no k enters it, so every f_star of one profile
+    shares it.  Factor j adds x^(2^j (2^t - 1)), an odd multiple of 2^j,
+    or nothing, and the later factors only multiples of 2^(j+1), so it
+    adds a term exactly when bit j of what is left is set.  The
+    profile is non-decreasing, so factor i holds every t from the least
+    with i < h(t) on, and distinct choices give distinct monomials: the
+    terms of each t are added with nothing to cancel."""
     if rem == 0:
         return frozenset({ONE})
-    if (1 << i) > rem:  # every later factor contributes at least 2^i
-        return frozenset()
-    acc = set(_rank1(profile, i + 1, rem))
+    while not rem >> i & 1:
+        i += 1
+    step = 1 << i
     t = 1
-    while (w := (1 << i) * ((1 << t) - 1)) <= rem:
-        if i < profile(t):
-            for m in _rank1(profile, i + 1, rem - w):
-                acc ^= {mono_mul(m, xi(t, 1 << i))}
+    while (w := step * ((1 << t) - 1)) <= rem and profile(t) <= i:
         t += 1
-    return frozenset(acc)
+    out: List = []
+    while (w := step * ((1 << t) - 1)) <= rem:
+        x = xi(t, step)
+        out += [mono_mul(m, x) for m in _rank1(profile, i + 1, rem - w)]
+        t += 1
+    return frozenset(out)
 
 
 def presentable(k: int, m: int) -> bool:

@@ -136,6 +136,27 @@ class TestHElement:
                 with pytest.raises(AttributeError):
                     setattr(y, name, None)
 
+    @given(helements(max_rank=4, max_degree=12), st.randoms(use_true_random=False))
+    def test_repr_canonical(self, x, rnd):
+        # equal elements print alike however their term sets were built:
+        # terms given in another order, read from coordinates, summed one
+        # b_E at a time
+        terms = list(x.terms)
+        rnd.shuffle(terms)
+        summed = HElement.zero(x.rank, x.degree)
+        for m in reversed(terms):
+            summed = summed ^ HElement.b(*m)
+        built = [HElement(x.rank, x.degree, terms), HElement.from_coords(x.rank, x.degree, x.to_coords()), summed]
+        for y in built:
+            assert y == x and repr(y) == repr(x)
+        assert eval(repr(x), {"HElement": HElement}) == x
+
+    def test_repr_sorts_terms(self):
+        x = HElement(2, 1, {(1, 0), (0, 1)})
+        assert repr(x) == repr(HElement.from_coords(2, 1, 0b11))
+        assert repr(x) == "HElement(rank=2, degree=1, terms=frozenset({(0, 1), (1, 0)}))"
+        assert repr(HElement.zero(3, 4)) == "HElement(rank=3, degree=4, terms=frozenset())"
+
     @given(helements())
     def test_dict_shape(self, x):
         d = x.to_dict()

@@ -5,13 +5,17 @@ checks against the coaction-based homology action (transposed matrices,
 dimension duality) tie two independent code paths together.
 """
 
+import ast
+import inspect
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenrod_transfer import hit
 from steenrod_transfer.bv import (
+    _basis_index,
     action_matrix,
     annihilated_subspace,
     basis_dim,
@@ -19,6 +23,7 @@ from steenrod_transfer.bv import (
 )
 from steenrod_transfer.hit import (
     PolyElement,
+    _sq_mono,
     apply_op,
     chi_sq,
     decomposables,
@@ -28,6 +33,30 @@ from steenrod_transfer.hit import (
     sq_matrix,
 )
 from steenrod_transfer.milnor import Profile, Pst
+
+
+def reference_sq_mono(i, mono):
+    """Sq^i on one monomial as a set of monomials, by the Cartan formula
+    over the variables one at a time, with no memo: the enumeration that
+    hit._sq_mono replaced."""
+    partial = [((), i)]  # (exponents so far, part of i left)
+    left = sum(mono)
+    for e in mono:
+        left -= e
+        nxt = []
+        for acc, rem in partial:
+            # binom(e, j) odd iff the digits of j lie inside e; the later
+            # variables take rem - j, at most their degree
+            cand = e & ((1 << rem.bit_length()) - 1)
+            j = cand
+            while j >= rem - left:
+                if j <= rem:
+                    nxt.append((acc + (e + j,), rem - j))
+                if not j:
+                    break
+                j = (j - 1) & cand
+        partial = nxt
+    return {acc for acc, _ in partial}
 
 
 def sq_oracle_rank1(i, e):
@@ -87,6 +116,40 @@ class TestSq:
         for i in range(k + 1):
             split = split ^ sq(i, p) * sq(k - i, q)
         assert total == split
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_sq_mono_matches_enumeration(self, rank):
+        # every monomial of degree <= 12, every i <= 16, in the full basis
+        # and, for the positive monomials, in the positive part's basis;
+        # the tails are memoised across the sweep as within one caller,
+        # and not at all
+        for least in (0, 1):
+            tails = {}
+            for degree in range(13):
+                for mono in degree_basis(rank, degree, least):
+                    for i in range(17):
+                        idx = _basis_index(rank, degree + i, least)
+                        want = sum(1 << idx[m] for m in reference_sq_mono(i, mono))
+                        assert _sq_mono(i, mono, degree, least, tails) == want, (i, mono, least)
+                        assert _sq_mono(i, mono, degree, least, {}) == want, (i, mono, least)
+
+    def test_rank_zero_has_no_basis(self):
+        # H^*(BV_0) has no degree_basis, so a positive square of its unit
+        # is refused like sq_matrix at rank 0, not built inconsistently
+        one = PolyElement(0, 0, {()})
+        assert sq(0, one) == one
+        for i in range(1, 4):
+            with pytest.raises(ValueError, match="rank must be positive"):
+                sq(i, one)
+            with pytest.raises(ValueError, match="rank must be positive"):
+                sq_matrix(i, 0, 0)
+
+    @given(poly_elements(max_rank=4, max_exp=4, max_terms=4), st.integers(0, 16))
+    def test_sq_matches_enumeration(self, p, i):
+        want = set()
+        for mono in p.terms:
+            want ^= reference_sq_mono(i, mono)
+        assert sq(i, p).terms == want
 
     def test_matrix_route_matches(self):
         for rank, degree, i in [(2, 5, 2), (3, 4, 1), (1, 7, 4)]:
@@ -152,6 +215,30 @@ class TestDecomposables:
             for i in (1, 2, 3):
                 q = sq(i, p)
                 assert q.is_zero() or is_hit(q)
+
+
+# what hit.py takes from bv today: how the bases are enumerated and
+# indexed, and the element class; never the homology action
+BV_NAMES = {"GradedElement", "Monomial", "basis_dim", "degree_basis", "terms_to_coords", "_basis_index", "_embed_supports"}
+
+
+def test_hit_stays_independent_of_the_homology_action():
+    """hit's subspaces are the cohomology side that the homology action is
+    checked against, so hit may import from the package only gf2 and
+    bv's basis enumeration and coordinates: no speed-up may route them
+    through the action they cross-check."""
+    from_bv = set()
+    for node in ast.walk(ast.parse(inspect.getsource(hit))):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("steenrod_transfer") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                assert not (node.module or "").startswith("steenrod_transfer"), node.module
+                continue
+            assert node.level == 1 and node.module in ("bv", "gf2"), (node.level, node.module)
+            if node.module == "bv":
+                from_bv |= {a.name for a in node.names}
+    assert from_bv <= BV_NAMES, from_bv - BV_NAMES
 
 
 class TestChiSq:

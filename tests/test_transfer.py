@@ -67,11 +67,13 @@ class TestRankOne:
             {mono_mul(xi(2, 2), xi(4)), xi(3, 3)}
         )
 
-    @pytest.mark.parametrize("prof", [FULL, E1, E2, Profile.D()], ids=["full", "E1", "E2", "D"])
+    @pytest.mark.parametrize("prof", [FULL, E1, E2, E3, Profile.D()], ids=["full", "E1", "E2", "E3", "D"])
     def test_matches_product_expansion(self, prof):
-        coeffs = expanded_product(prof, 41)
-        for k in range(41):
-            assert f_star(k, prof) == frozenset(coeffs.get(k + 1, ()))
+        # every k <= 200: the factors multiplied out term by term, against
+        # _rank1's walk over the set bits of k + 1
+        coeffs = expanded_product(prof, 201)
+        for k in range(201):
+            assert f_star(k, prof) == frozenset(coeffs.get(k + 1, ())), k
 
     @given(st.integers(0, 80), st.sampled_from(["full", "E1", "E2", "D"]))
     def test_degree_homogeneous(self, k, name):
