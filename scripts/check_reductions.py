@@ -3,20 +3,20 @@
 
 For every cell (algebra, rank, degree) in the window, compare
 annihilated_subspace, which solves the positive parts once per rank and
-embeds them over every support (with Wood's vanishing, Kameko's doubling
-and the closed-form ker Sq^1 start), with the direct route: the common
-kernel of the full-space action matrices of every generator, from all of
-H_degree.  The coinvariant dimensions of the two subspaces are compared
-too.  At ranks 1-3 the default route is also compared with the
-exhaustive oracle (annihilated_subspace with exhaustive=True), the
-common kernel of every Milnor basis element of positive degree, whose
-matrices come from expand_action's coaction walk, so each run of the
-script also checks that walk at scale.  Over the full algebra at ranks
-1-4, dim H_degree - dim (A^+ H^*)_degree, from hit.decomposables, must
-equal the annihilated dimension: the hit subspace is the annihilator of
-the annihilated space under the duality of H^* and H_*, so this checks
-the Cartan-formula code of hit.py, which shares nothing with the action
-routes, on every such cell of the window.
+embeds them over every support (with the rank-1 forward rule, Wood's
+vanishing, Kameko's doubling and the closed-form ker Sq^1 start), with
+the direct route: the common kernel of the full-space action matrices of
+every generator, from all of H_degree.  The coinvariant dimensions of the
+two subspaces are compared too.  At ranks 1-3 the default route is also
+compared with the exhaustive oracle (annihilated_subspace with
+exhaustive=True), the common kernel of every Milnor basis element of
+positive degree, whose matrices come from expand_action's coaction walk,
+so each run of the script also checks that walk at scale.  Over the full
+algebra at ranks 1-4, dim H_degree - dim (A^+ H^*)_degree, from
+hit.decomposables, must equal the annihilated dimension: the hit
+subspace is the annihilator of the annihilated space under the duality
+of H^* and H_*, so this checks the Cartan-formula code of hit.py, which
+shares nothing with the action routes, on every such cell of the window.
 
     python scripts/check_reductions.py                # A, E1-E3, D: r1-4 d0-35, r5 d0-19; A r4 d36-40
     python scripts/check_reductions.py --ranks 1,2,3 --max-degree 20
@@ -27,7 +27,8 @@ route fits the default bit budget on all of them: it holds at most
 2^29.8 bits at once, at A r4 d40.  The whole window takes ~50 s on a
 2-vCPU machine; the oracle adds ~9 s of it, most of it at A r3, and the
 hit subspaces ~3 s, most of it at A r4 d25-40.  Prints one line per
-algebra and rank and exits 1 at the first mismatch.
+algebra and rank and exits 1 at the first mismatch; a malformed
+argument exits 2.
 """
 
 import argparse
@@ -95,9 +96,15 @@ def main(argv=None):
     parser.add_argument("--ranks", default="1,2,3,4,5", help="comma-separated ranks, each 1..5")
     parser.add_argument("--max-degree", type=int, default=40, help="caps each rank's window")
     args = parser.parse_args(argv)
-    ranks = [int(r) for r in args.ranks.split(",")]
-    if not set(ranks) <= set(WINDOW):
-        parser.error(f"ranks must be among {sorted(WINDOW)}")
+    # a malformed argument exits 2 through parser.error, never 1, which means a mismatch
+    try:
+        ranks = [int(r) for r in args.ranks.split(",")]
+    except ValueError:
+        ranks = None
+    if ranks is None or not set(ranks) <= set(WINDOW):
+        parser.error(f"--ranks must be comma-separated ranks among {sorted(WINDOW)}, not {args.ranks!r}")
+    if args.max_degree < 0:
+        parser.error(f"--max-degree must be nonnegative, not {args.max_degree}")
     for name in PROFILES:
         for rank in ranks:
             degrees = list(range(WINDOW[rank] + 1))

@@ -35,11 +35,14 @@ F_v >= 1 (degree_basis(k, d, 1), of dimension C(d - 1, k - 1)), and
 so is its annihilated subspace.  annihilated_subspace solves each
 positive part once per k = 1..n and embeds it over the C(n, k)
 supports; at A r4 d22 that is problems of dimension 1,330, 210 and 21
-instead of one of 2,300.  Over the full algebra a positive part is
-first reduced by Wood's vanishing and Kameko's doubling; otherwise the
-generator kernels are intersected from ker Sq^1.  The union is the
-whole annihilated subspace, which is GL(n, 2)-stable although no single
-summand is, so coinvariant_quotient takes it unchanged.
+instead of one of 2,300.  The rank-1 positive part, b_d alone, takes
+no kernel step: b_d is killed exactly when no generator P_t^s has bit s
+of d - |P_t^s| set (_positive).  Over the full algebra a higher
+positive part is first reduced by Wood's vanishing and Kameko's
+doubling; otherwise the generator kernels are intersected from ker
+Sq^1.  The union is the whole annihilated subspace, which is
+GL(n, 2)-stable although no single summand is, so coinvariant_quotient
+takes it unchanged.
 
 The general linear group acts by divided power substitution: for g in
 GL(n, 2) the generator a_j goes to sum_i g[i][j] a_i (column convention),
@@ -560,6 +563,11 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
     """Basis of the annihilated subspace of the positive part of
     H_degree(BV_rank), in degree_basis(rank, degree, 1) coordinates.
 
+    At rank 1 the positive part is b_degree alone, and the forward rule
+    b_k . P_t^s = C(k - |P_t^s|, 2^s) b_(k - |P_t^s|) decides it (Lucas):
+    b_degree is killed exactly when no generator P_t^s has bit s of
+    degree - |P_t^s| set, _pst_rows' one rank-1 row read directly.
+
     Over the full algebra, with mu(d) the least number of terms 2^k - 1
     summing to d (mu(d) <= n exactly when alpha(d + n) <= n, alpha
     counting binary digits):
@@ -574,6 +582,9 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
     2^(s+t) > degree (its excess 2^s is above the degree of the target),
     so those are skipped.
     """
+    if rank == 1:
+        ops, degrees = generator_degrees(profile, degree)
+        return () if any((degree - d) >> s & 1 for (s, _), d in zip(ops, degrees)) else (1,)
     if profile.is_full():
         if (degree + rank).bit_count() > rank:  # mu(degree) > rank
             return ()

@@ -7,9 +7,11 @@ kept in reduced row echelon form so equal subspaces compare equal.
 The module has two walks over the set bits of a vector.  _eliminate is
 the one elimination routine: a row's pivot is its lowest set bit, and
 _rref (behind GF2Subspace) and common_kernel both reduce vectors with
-it against a dict of pivot rows.  image_of is the one linear map, the
-XOR of a table's images over the set bits of a vector; bv._map_bits is
-image_of over a table that computes each image on first lookup.  Every
+it against a dict of pivot rows; common_kernel tests nothing before it
+eliminates but an empty start, whose kernel is 0 without any block.
+image_of is the one linear map, the XOR of a table's images over the
+set bits of a vector; bv._map_bits is image_of over a table that
+computes each image on first lookup.  Every
 dict keyed by a bit, here and in bv, is keyed by its column index j,
 never by the bit 1 << j itself, which is as wide as the space and would
 be hashed again on every lookup.  A walk that may take the bits in any
@@ -163,8 +165,7 @@ def common_kernel(
     above them, make one stacked vector.  The stacked vectors are
     eliminated in one pass until their image bits are zero or they become
     pivots; the source parts of those whose images cancel span the
-    kernel.  When the images so far have distinct lowest bits they are
-    independent, so the kernel is 0 and no later block is built.
+    kernel.  An empty start has kernel 0 and builds no block.
     """
     basis = [1 << j for j in range(ncols)] if start is None else list(start)
     held = len(basis) * (sum(shapes) + ncols) + 2 * max(shapes, default=0) * ncols
@@ -173,12 +174,11 @@ def common_kernel(
             f"kernel step of {len(basis)} vectors over {sum(shapes)}+{ncols} bits"
             f" holds {held}, over budget {_BIT_BUDGET}"
         )
+    if not basis:
+        return GF2Subspace._from_reduced(ncols, ())
     stack = [0] * len(basis)
     shift = 0
     for k, nrows in enumerate(shapes):
-        # before the first block only an empty start passes
-        if (k or not basis) and _independent(stack):
-            return GF2Subspace._from_reduced(ncols, ())
         cols = _columns(rows(k), ncols)
         for i, b in enumerate(basis):
             stack[i] |= image_of(b, cols) << shift
@@ -197,18 +197,6 @@ def common_kernel(
     if len(survivors) < 2:  # one nonzero vector is already reduced
         return GF2Subspace._from_reduced(ncols, survivors)
     return GF2Subspace(ncols, survivors)
-
-
-def _independent(vectors: List[int]) -> bool:
-    """Whether the vectors are nonzero with distinct lowest bits, which
-    makes them independent."""
-    seen = set()
-    for v in vectors:
-        j = (v & -v).bit_length()
-        if not j or j in seen:
-            return False
-        seen.add(j)
-    return True
 
 
 class GF2Subspace:
