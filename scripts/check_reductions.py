@@ -5,13 +5,15 @@ For every cell (algebra, rank, degree) in the window, compare
 annihilated_subspace, which solves the positive parts once per rank and
 embeds them over every support (with the rank-1 forward rule, Wood's
 vanishing, Kameko's doubling and the closed-form ker Sq^1 start), with
-the direct route: the common kernel of the full-space action matrices of
-every generator, from all of H_degree.  The coinvariant dimensions of the
-two subspaces are compared too.  At ranks 1-3 the default route is also
-compared with the exhaustive oracle (annihilated_subspace with
-exhaustive=True), the common kernel of every Milnor basis element of
-positive degree, whose matrices come from expand_action's coaction walk,
-so each run of the script also checks that walk at scale.  Over the full
+the direct route: the common kernel of every generator's action matrix
+over all of H_degree.  The coinvariant dimensions of the two subspaces
+are compared too.  At ranks 1-3 the default route is also compared with
+the exhaustive oracle (annihilated_subspace with exhaustive=True), the
+common kernel of every Milnor basis element of positive degree.  The
+matrices of both come from expand_action's coaction walk (action_matrix
+takes a P_t^s as Pst.dual), which shares no code with the forward rule
+of the default route, so each run of the script checks the forward rule
+against that walk, and the walk at scale.  Over the full
 algebra at ranks 1-4, dim H_degree - dim (A^+ H^*)_degree, from
 hit.decomposables, must equal the annihilated dimension: the hit
 subspace is the annihilator of the annihilated space under the duality
@@ -24,9 +26,10 @@ shares nothing with the action routes, on every such cell of the window.
 The window is every cell up to degree 35 at ranks 1-4 and 19 at rank 5,
 and the full algebra's rank-4 cells of degrees 36 to 40.  The direct
 route fits the default bit budget on all of them: it holds at most
-2^29.8 bits at once, at A r4 d40.  The whole window takes ~50 s on a
-2-vCPU machine; the oracle adds ~9 s of it, most of it at A r3, and the
-hit subspaces ~3 s, most of it at A r4 d25-40.  Prints one line per
+2^29.8 bits at once, at A r4 d40.  The whole window takes ~85 s on a
+2-vCPU machine: the direct route ~37 s of it, the coinvariants of both
+subspaces ~28 s, the oracle ~11 s, most of it at A r3, and the hit
+subspaces ~5 s, most of it at A r4 d25-40.  Prints one line per
 algebra and rank and exits 1 at the first mismatch; a malformed
 argument exits 2.
 """
@@ -62,7 +65,7 @@ REACH = range(36, 41)
 def direct_annihilated(profile, rank, degree):
     ops = generators(profile, degree)
     shapes = [basis_dim(rank, degree - op.degree) for op in ops]
-    return common_kernel(shapes, lambda k: action_matrix(ops[k], rank, degree).rows, basis_dim(rank, degree))
+    return common_kernel(shapes, lambda k: action_matrix(ops[k].dual, rank, degree).rows, basis_dim(rank, degree))
 
 
 def check_cell(name, rank, d):

@@ -14,7 +14,8 @@ Three probes, each a wider version of one acceptance criterion:
 The spike family and the exponent types come from the definitions the
 criteria use, checks.spike_pairs and transfer.slot_types.  The probes
 print findings and exit 0 when every sweep agrees with the
-predicted pattern, 1 otherwise.
+predicted pattern, 1 otherwise; an argument that leaves a sweep empty
+exits 2.
 """
 
 import argparse
@@ -84,6 +85,16 @@ def main(argv=None) -> int:
     ap.add_argument("--max-a", type=int, default=6)
     ap.add_argument("--degree", type=int, default=17, help="degree for the types probe")
     ns = ap.parse_args(argv)
+    # an empty sweep would agree vacuously, so it exits 2 through
+    # ap.error, never 0 or 1, which means a sweep disagreed
+    for flag, value, least in (
+        ("--max-degree", ns.max_degree, 1),
+        ("--max-m", ns.max_m, 1),
+        ("--max-a", ns.max_a, 2),
+        ("--degree", ns.degree, 0),
+    ):
+        if value < least:
+            ap.error(f"{flag} must be at least {least}, not {value}")
     if ns.probe == "window":
         ok = probe_window(ns.max_degree, ns.max_m)
     elif ns.probe == "spikes":

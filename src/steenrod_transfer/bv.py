@@ -14,17 +14,18 @@ the Cartan formula), the forward rule
     b_E . P_t^s = sum over a with sum_v a_v = 2^s of b_{E - a(2^t-1)},
 
 where a term is kept when every a_v is a binary submask of its target
-exponent E_v - a_v(2^t-1) (Lucas).  right_action applies it term by
-term.  _pst_rows builds each matrix row from it block by block: the
+exponent E_v - a_v(2^t-1) (Lucas).  It runs in two directions:
+right_action applies it per source, term by term, and _pst_rows builds
+each row per target over the positive parts, block by block: the
 sorted basis groups the sources by first exponent, so fixing a_0 fixes
 the block, and the row is the OR of the rank-(n-1) rows of the tail
-shifted to their blocks.  A general Milnor monomial xi^mu goes through
-expand_action instead, which extracts coefficients from the coaction on
-a rank-1 class x^d (x^{2^j} goes to sum_i x^{2^{i+j}} (x) xi_i^{2^j},
-multiplicatively over the binary digits of d) by assigning binary
-digits of the exponents to the xi_t.  That route is independent of the
-forward rule, and passing Pst.dual instead of the Pst selects it: it is
-the oracle for the exhaustive annihilator and the cross-checks.
+shifted to their blocks.  action_matrix shares no code with it: it
+takes a Milnor monomial xi^mu (a P_t^s as Pst.dual) and extracts its
+coefficients from the coaction on a rank-1 class x^d (x^{2^j} goes to
+sum_i x^{2^{i+j}} (x) xi_i^{2^j}, multiplicatively over the binary
+digits of d) by assigning binary digits of the exponents to the xi_t
+(expand_action).  That coaction walk is the one oracle, for the
+exhaustive annihilator and the cross-checks.
 
 The forward rule keeps the support of b_F (the v with F_v > 0): a_v = 0
 where F_v = 0, and where F_v > 0 the target exponent is F_v itself
@@ -350,38 +351,34 @@ def _pst_image(source: Monomial, s: int, t: int) -> List[Monomial]:
 
 
 @lru_cache(maxsize=None)
-def action_matrix(op: Operation, rank: int, degree: int) -> GF2Matrix:
-    """Right action H_degree -> H_{degree-k} in basis coordinates.
-
-    Row E (target basis) has bit F set iff x^F occurs in the cohomology
-    expansion of op on x^E.
-    A Pst is built from the closed-form rule (_pst_rows), a general Milnor
-    monomial (or Pst.dual) from expand_action.
+def action_matrix(mu: Xi, rank: int, degree: int) -> GF2Matrix:
+    """Right action of the Milnor basis element dual to xi^mu,
+    H_degree -> H_{degree-|mu|}, in basis coordinates, from the coaction
+    walk (expand_action) alone: row E (target basis) has bit F set iff
+    x^F occurs in the cohomology expansion of mu on x^E.  A P_t^s is
+    passed as Pst.dual.
     """
-    ncols = basis_dim(rank, degree)
-    if isinstance(op, Pst):
-        return GF2Matrix(_pst_rows(rank, degree - op.degree, op.s, op.t, 0), ncols)
-    targets = degree_basis(rank, degree - mono_degree(op))
-    return GF2Matrix([terms_to_coords(rank, degree, expand_action(op, e)) for e in targets], ncols)
+    if isinstance(mu, Pst):
+        raise TypeError(f"action_matrix takes a Milnor monomial; pass {mu}.dual")
+    targets = degree_basis(rank, degree - mono_degree(mu))
+    rows = [terms_to_coords(rank, degree, expand_action(mu, e)) for e in targets]
+    return GF2Matrix(rows, basis_dim(rank, degree))
 
 
 @lru_cache(maxsize=None)
-def _block_starts(rank: int, degree: int, least: int) -> Tuple[int, ...]:
-    """Index in degree_basis(rank, degree, least) of the first monomial with
-    first exponent f, at position f - least: the basis is sorted, so the
+def _block_starts(rank: int, degree: int) -> Tuple[int, ...]:
+    """Index in degree_basis(rank, degree, 1) of the first monomial with
+    first exponent f, at position f - 1: the basis is sorted, so the
     monomials with first exponent f form one block of
-    basis_dim(rank - 1, degree - f, least)."""
-    return tuple(
-        itertools.accumulate(
-            (basis_dim(rank - 1, degree - f, least) for f in range(least, degree)), initial=0
-        )
-    )
+    basis_dim(rank - 1, degree - f, 1)."""
+    sizes = (basis_dim(rank - 1, degree - f, 1) for f in range(1, degree))
+    return tuple(itertools.accumulate(sizes, initial=0))
 
 
-def _pst_rows(rank: int, degree: int, s: int, t: int, least: int) -> List[int]:
-    """Rows of the action of P_t^s on the targets of the given degree, over
-    degree_basis(rank, _, least) on both sides: least = 0 for all of H_*,
-    least = 1 for the positive part, which P_t^s preserves.
+def _pst_rows(rank: int, degree: int, s: int, t: int) -> List[int]:
+    """Rows of the action of P_t^s on the targets of the given degree in
+    the positive part, which P_t^s preserves, over degree_basis(rank, _, 1)
+    on both sides, for rank >= 2.
 
     The row of target E under a total r has a bit at each source
     E + a(2^t - 1) with sum a_v = r and every a_v a binary submask of E_v.
@@ -390,20 +387,18 @@ def _pst_rows(rank: int, degree: int, s: int, t: int, least: int) -> List[int]:
     sits in the basis one rank lower: the row is the OR over a_0 of the
     tail's row under r - a_0, shifted to that block.  Rank-2 rows are
     memoized for this call; a rank-2 source sits at its first exponent
-    minus least.
+    minus 1.
     """
     m = (1 << t) - 1
     pairs: Dict[Tuple[int, int, int], int] = {}
     r = 1 << s
-    basis = _basis(rank, degree, least)
-    if rank == 1:
-        return [int(r & e0 == r) for (e0,) in basis]
+    basis = degree_basis(rank, degree, 1)
     if rank == 2:
-        return [_pair_row(e0, e1, r, m, least, pairs) for e0, e1 in basis]
-    return [_row(e, degree, r, m, least, pairs) for e in basis]
+        return [_pair_row(e0, e1, r, m, pairs) for e0, e1 in basis]
+    return [_row(e, degree, r, m, pairs) for e in basis]
 
 
-def _pair_row(e0: int, e1: int, r: int, m: int, least: int, pairs: Dict) -> int:
+def _pair_row(e0: int, e1: int, r: int, m: int, pairs: Dict) -> int:
     """The rank-2 row of _pst_rows for target (e0, e1) under the total r,
     with m = 2^t - 1, memoized in pairs."""
     key = (e0, e1, r)
@@ -414,7 +409,7 @@ def _pair_row(e0: int, e1: int, r: int, m: int, least: int, pairs: Dict) -> int:
         a = cand
         while a >= r - e1:
             if a <= r and (r - a) & e1 == r - a:
-                bits |= 1 << (e0 + a * m - least)
+                bits |= 1 << (e0 + a * m - 1)
             if not a:
                 break
             a = (a - 1) & cand
@@ -422,13 +417,13 @@ def _pair_row(e0: int, e1: int, r: int, m: int, least: int, pairs: Dict) -> int:
     return bits
 
 
-def _row(e: Monomial, d: int, r: int, m: int, least: int, pairs: Dict) -> int:
+def _row(e: Monomial, d: int, r: int, m: int, pairs: Dict) -> int:
     """The row of _pst_rows for a target e of rank >= 3 and degree d under
     the total r: the tail's rows shifted to their blocks."""
     e0 = e[0]
     tail = e[1:]
     d_tail = d - e0
-    starts = _block_starts(len(e), d + r * m, least)
+    starts = _block_starts(len(e), d + r * m)
     short = len(tail) == 2
     bits = 0
     cand = e0 & ((1 << r.bit_length()) - 1)
@@ -437,11 +432,11 @@ def _row(e: Monomial, d: int, r: int, m: int, least: int, pairs: Dict) -> int:
     while a >= r - d_tail:
         if a <= r:
             if short:
-                sub = _pair_row(tail[0], tail[1], r - a, m, least, pairs)
+                sub = _pair_row(tail[0], tail[1], r - a, m, pairs)
             else:
-                sub = _row(tail, d_tail, r - a, m, least, pairs)
+                sub = _row(tail, d_tail, r - a, m, pairs)
             if sub:
-                bits |= sub << starts[e0 + a * m - least]
+                bits |= sub << starts[e0 + a * m - 1]
         if not a:
             break
         a = (a - 1) & cand
@@ -479,7 +474,7 @@ def annihilated_subspace(
     rank: int,
     degree: int,
     exhaustive: bool = False,
-    matrix: Optional[Callable[[Operation, int, int], GF2Matrix]] = None,
+    matrix: Optional[Callable[[Xi, int, int], GF2Matrix]] = None,
 ) -> GF2Subspace:
     """Elements of H_degree(BV_rank) killed by the profile's algebra.
 
@@ -566,7 +561,7 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
     At rank 1 the positive part is b_degree alone, and the forward rule
     b_k . P_t^s = C(k - |P_t^s|, 2^s) b_(k - |P_t^s|) decides it (Lucas):
     b_degree is killed exactly when no generator P_t^s has bit s of
-    degree - |P_t^s| set, _pst_rows' one rank-1 row read directly.
+    degree - |P_t^s| set.
 
     Over the full algebra, with mu(d) the least number of terms 2^k - 1
     summing to d (mu(d) <= n exactly when alpha(d + n) <= n, alpha
@@ -609,7 +604,7 @@ def _positive(profile: Profile, rank: int, degree: int) -> Sequence[int]:
     # every generator of every cell
     return common_kernel(
         [math.comb(degree - d - 1, rank - 1) for d, _, _ in ops],
-        lambda k: _pst_rows(rank, degree - ops[k][0], ops[k][1], ops[k][2], 1),
+        lambda k: _pst_rows(rank, degree - ops[k][0], ops[k][1], ops[k][2]),
         math.comb(degree - 1, rank - 1),
         start,
     ).basis

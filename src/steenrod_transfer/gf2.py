@@ -130,16 +130,6 @@ class GF2Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GF2Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
-
     def __repr__(self) -> str:
         return f"GF2Matrix({self.nrows}x{self.ncols})"
 

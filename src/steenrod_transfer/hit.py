@@ -151,7 +151,6 @@ def _positive_hit(rank: int, degree: int) -> GF2Subspace:
     return GF2Subspace(basis_dim(rank, degree, 1), sorted(vectors, key=int.bit_count))
 
 
-@lru_cache(maxsize=None)
 def decomposables(rank: int, degree: int) -> GF2Subspace:
     """The hit subspace (A^+ H^*)_degree of H^degree(BV_rank): the hit
     subspace of each positive part (_positive_hit) embedded over every

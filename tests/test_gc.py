@@ -32,8 +32,8 @@ def test_hot_helpers_leave_no_cycles():
                     right_action(HElement.b(k), op.dual)
         for rank in (2, 3, 4):
             for degree in range(1, 12):
-                bv._pst_rows(rank, degree, 0, 1, 0)
-                bv._pst_rows(rank, degree, 1, 1, 1)
+                bv._pst_rows(rank, degree, 0, 1)
+                bv._pst_rows(rank, degree, 1, 1)
         for i in range(12):
             sq(i, PolyElement.x(3, 0, 5))
         for k in range(40):

@@ -170,7 +170,7 @@ class TestTransposeDuality:
         k = 1 << s
         for degree in range(k, 9):
             lhs = sq_matrix(k, rank, degree - k)
-            rhs = action_matrix(Pst(s, 1), rank, degree)
+            rhs = action_matrix(Pst(s, 1).dual, rank, degree)
             assert tuple(lhs.columns()) == rhs.rows and lhs.nrows == rhs.ncols
 
 
