@@ -6,14 +6,15 @@ annihilated_subspace, which solves the positive parts once per rank and
 embeds them over every support (with the rank-1 forward rule, Wood's
 vanishing, Kameko's doubling and the closed-form ker Sq^1 start), with
 the direct route: the common kernel of every generator's action matrix
-over all of H_degree.  The coinvariant dimensions of the two subspaces
-are compared too.  At ranks 1-3 the default route is also compared with
-the exhaustive oracle (annihilated_subspace with exhaustive=True), the
-common kernel of every Milnor basis element of positive degree.  The
-matrices of both come from expand_action's coaction walk (action_matrix
-takes a P_t^s as Pst.dual), which shares no code with the forward rule
-of the default route, so each run of the script checks the forward rule
-against that walk, and the walk at scale.  Over the full
+over all of H_degree.  The coinvariants of the common subspace are then
+computed once, which raises if it is not GL-stable.  At ranks 1-3 the
+default route is also compared with the exhaustive oracle
+(annihilated_subspace with exhaustive=True), the common kernel of every
+Milnor basis element of positive degree.  The matrices of both come
+from expand_action's coaction walk (action_matrix takes a P_t^s as
+Pst.dual), which shares no code with the forward rule of the default
+route, so each run of the script checks the forward rule against that
+walk, and the walk at scale.  Over the full
 algebra at ranks 1-4, dim H_degree - dim (A^+ H^*)_degree, from
 hit.decomposables, must equal the annihilated dimension: the hit
 subspace is the annihilator of the annihilated space under the duality
@@ -26,10 +27,10 @@ shares nothing with the action routes, on every such cell of the window.
 The window is every cell up to degree 35 at ranks 1-4 and 19 at rank 5,
 and the full algebra's rank-4 cells of degrees 36 to 40.  The direct
 route fits the default bit budget on all of them: it holds at most
-2^29.8 bits at once, at A r4 d40.  The whole window takes ~85 s on a
-2-vCPU machine: the direct route ~37 s of it, the coinvariants of both
-subspaces ~28 s, the oracle ~11 s, most of it at A r3, and the hit
-subspaces ~5 s, most of it at A r4 d25-40.  Prints one line per
+2^29.8 bits at once, at A r4 d40.  The whole window takes ~75 s on a
+2-vCPU machine: the direct route ~37 s of it, the coinvariants ~13 s,
+the oracle ~11 s, most of it at A r3, and the hit subspaces ~5 s, most
+of it at A r4 d25-40.  Prints one line per
 algebra and rank and exits 1 at the first mismatch; a malformed
 argument exits 2.
 """
@@ -87,10 +88,7 @@ def check_cell(name, rank, d):
         if unhit != reduced.dim:
             print(f"MISMATCH A r{rank} d{d}: annihilated dim {reduced.dim}, unhit dim {unhit}")
             return False
-    dims = {coinvariant_quotient(space, rank, d).dim for space in (reduced, direct)}
-    if len(dims) != 1:
-        print(f"MISMATCH {name} r{rank} d{d}: coinvariant dims {sorted(dims)}")
-        return False
+    coinvariant_quotient(reduced, rank, d)
     return True
 
 

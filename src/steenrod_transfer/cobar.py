@@ -15,13 +15,19 @@ The differential is computed on sums of slot products (p_1 | ... | p_n),
 where each slot holds a monomial or a whole polynomial; a word is the
 case of monomial slots.  The monomials met under a profile are numbered
 once, the lefts (each with chi of it, projected) and the right-hand
-letters apart.  Each slot's coproduct is cancelled mod 2 once per
-profile, into a cached table sorted by the key (degree, number) of its
-right-hand letters, and one walk over a product's tables cancels the
-left products of all choices per right-hand tuple.  The terms before chi
-are held as one set of numbered right-hand tuples per left number; a sum
-of products XORs those sets, and since chi is linear it is then applied,
-with the profile projection, once per surviving left.
+letters apart.  A_* is the polynomial algebra on the xi_t, so a left
+is held packed, as one int with a fixed-width field for the exponent of
+each xi_t: a product of lefts is a sum of ints, and a left is decoded
+only when it is first numbered.  Each slot's coproduct is cancelled mod
+2 once per profile, into a cached table sorted by the key (degree,
+number) of its right-hand letters, and one walk over a product's tables
+cancels the left products of all choices per right-hand tuple.  The
+terms before chi are held as one set of numbered right-hand tuples per
+left number; a sum of products XORs those sets, and since chi is linear
+it is then applied, with the profile projection, once per surviving
+left.  differential_matrix collects the same way: each source word's
+bit is XORed into one mask per left number and right-hand tuple, and
+the heads of a left are then expanded once per tuple.
 
 The sets are computed once per orbit of slot products under permuting
 the slots.  A_* is commutative, so chi(a_1' ... a_n') does not depend
@@ -53,9 +59,12 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, DefaultDict, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union,
+)
 
 from .gf2 import GF2Matrix, GF2Subspace
 from .milnor import (
@@ -67,7 +76,6 @@ from .milnor import (
     coproduct,
     dual_basis,
     mono_degree,
-    mono_mul,
 )
 
 __all__ = [
@@ -121,22 +129,39 @@ class _Numbering(dict):
     value once.  Entries are only appended, so a memoised number keeps
     its meaning."""
 
-    def __init__(self, value: Callable[[Xi], object]):
+    def __init__(self, value: Callable[[Hashable], object]):
         super().__init__()
         self.value = value
         self.values: list = []
 
-    def __missing__(self, m: Xi) -> int:
+    def __missing__(self, m: Hashable) -> int:
         i = self[m] = len(self.values)
         self.values.append(self.value(m))
         return i
 
 
+# a left monomial of the walk is one int, with the exponent of xi_t in
+# bits (t - 1) * _WIDTH on: a product is a sum and the unit is 0.  An
+# exponent is at most the product's degree, so no field carries while
+# that degree is below 2^_WIDTH, which _tables checks.
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+
+
+def _pack(m: Xi) -> int:
+    return sum(e << (t - 1) * _WIDTH for t, e in m)
+
+
+def _unpack(p: int) -> Xi:
+    fields = range(1, -(-p.bit_length() // _WIDTH) + 1)
+    return tuple((t, e) for t in fields if (e := p >> (t - 1) * _WIDTH & _FIELD))
+
+
 @lru_cache(maxsize=None)
 def _lefts(profile: Profile) -> _Numbering:
-    """Left monomials, each valued at chi of it projected to the profile:
-    the heads it contributes."""
-    return _Numbering(lambda m: profile.project(antipode(m)))
+    """Packed left monomials, each valued at chi of it projected to the
+    profile: the heads it contributes."""
+    return _Numbering(lambda p: profile.project(antipode(_unpack(p))))
 
 
 @lru_cache(maxsize=None)
@@ -145,21 +170,33 @@ def _rights(profile: Profile) -> _Numbering:
     return _Numbering(lambda m: m)
 
 
-# a slot's reduced coproduct: its right-hand letters' keys, sorted, and their lefts
-SlotTable = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[Xi, ...], ...]]
+# a slot's reduced coproduct: its right-hand letters' keys, sorted, their
+# packed lefts, and the slot's degree
+SlotTable = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, ...], ...], int]
 
 
 @lru_cache(maxsize=None)
 def _slot_table(slot: Slot, profile: Profile) -> SlotTable:
     """Delta(slot) mod 2 without its (a, 1) terms, by right-hand letter."""
-    by_right: Dict[Xi, Set[Xi]] = {}
-    for m in (slot,) if isinstance(slot, tuple) else slot:
+    monos = (slot,) if isinstance(slot, tuple) else slot
+    by_right: Dict[Xi, Set[int]] = {}
+    for m in monos:
         for a, b in coproduct(m, profile):
             if b != ONE:
-                by_right.setdefault(b, set()).symmetric_difference_update((a,))
+                by_right.setdefault(b, set()).symmetric_difference_update((_pack(a),))
     num = _rights(profile)
     table = sorted(((mono_degree(b), num[b]), tuple(a)) for b, a in by_right.items() if a)
-    return tuple(k for k, _ in table), tuple(a for _, a in table)
+    degree = max(map(mono_degree, monos), default=0)
+    return tuple(k for k, _ in table), tuple(a for _, a in table), degree
+
+
+def _tables(product: SlotProduct, profile: Profile) -> List[SlotTable]:
+    """The slot tables of product, none if some slot has no reduced
+    coproduct (then d of it is 0).  Raises if a packed field could carry."""
+    slots = [_slot_table(p, profile) for p in product]
+    if sum(degree for _, _, degree in slots) > _FIELD:
+        raise ValueError(f"a slot product of degree above {_FIELD} would overflow a packed exponent")
+    return slots if slots and all(keys for keys, _, _ in slots) else []
 
 
 def _walk(
@@ -168,29 +205,30 @@ def _walk(
     v: int,
     low: Tuple[int, ...],
     rights: Tuple[int, ...],
-    left: Iterable[Xi],
-    acc: Dict[Xi, Set[Tuple[int, ...]]],
+    left: Iterable[int],
+    acc: DefaultDict[int, Set[Tuple[int, ...]]],
 ) -> None:
-    """Walk the coproduct choices of slots v on, multiplying their lefts
-    into left mod 2, and XOR each finished right-hand tuple into the set
-    of each left of it in acc.  With tops, slot v takes only the keys
-    from low up to tops[v], and the key it takes is the next slot's low.
-    A left 1 heads a (1 | w) term, which d discards, so it gets no set."""
-    keys, lefts = slots[v]
+    """Walk the coproduct choices of slots v on, multiplying their packed
+    lefts into left mod 2, and add each finished right-hand tuple to the
+    set of each left of it in acc; a walk meets each tuple once.  With
+    tops, slot v takes only the keys from low up to tops[v], and the key
+    it takes is the next slot's low.  A left 1 heads a (1 | w) term,
+    which d discards, so it gets no set."""
+    keys, lefts, _ = slots[v]
     lo, hi = (bisect_left(keys, low), bisect_right(keys, tops[v])) if tops else (0, len(keys))
     last = v + 1 == len(slots)
     for j in range(lo, hi):
-        prod: Set[Xi] = set()
+        prod: Set[int] = set()
         for a in left:
-            for c in lefts[j]:
-                prod.symmetric_difference_update((mono_mul(a, c),))
+            # the a + c are distinct, so XORing them in as one set is exact
+            prod.symmetric_difference_update(map(a.__add__, lefts[j]))
         if not prod:
             continue
         tail = rights + (keys[j][1],)
         if last:
+            prod.discard(0)
             for m in prod:
-                if m != ONE:
-                    acc.setdefault(m, set()).symmetric_difference_update((tail,))
+                acc[m].add(tail)
         else:
             _walk(slots, tops, v + 1, keys[j], tail, prod, acc)
 
@@ -202,10 +240,10 @@ def _orbit_groups(
     """d of one slot product in canonical order before chi, as pairs (left
     number, its right-hand tuples), shared by every product in its
     slot-permutation orbit."""
-    slots = [_slot_table(p, profile) for p in product]
-    acc: Dict[Xi, Set[Tuple[int, ...]]] = {}
-    if slots and all(keys for keys, _ in slots):
-        _walk(slots, None, 0, (), (), (ONE,), acc)
+    acc: DefaultDict[int, Set[Tuple[int, ...]]] = defaultdict(set)
+    slots = _tables(product, profile)
+    if slots:
+        _walk(slots, None, 0, (), (), (0,), acc)
     num = _lefts(profile)
     return tuple((num[m], frozenset(rights)) for m, rights in acc.items())
 
@@ -220,11 +258,13 @@ def _product_groups(product: SlotProduct, profile: Profile) -> Iterable[Tuple[in
     """The groups of product's orbit, from _orbit_groups on its sorted
     slots, with their right-hand tuples permuted back to product's slot
     order; each tuple set may be iterated once."""
+    # a word's monomial slots sort as themselves
+    key = (lambda i: _slot_key(product[i])) if frozenset in map(type, product) else product.__getitem__
     identity = list(range(len(product)))
-    order = sorted(identity, key=lambda i: _slot_key(product[i]))
-    groups = _orbit_groups(tuple(product[i] for i in order), profile)
+    order = sorted(identity, key=key)
     if order == identity:
-        return groups
+        return _orbit_groups(product, profile)
+    groups = _orbit_groups(tuple(map(product.__getitem__, order)), profile)
     back = itemgetter(*sorted(identity, key=order.__getitem__))  # order^-1
     return [(i, map(back, rights)) for i, rights in groups]
 
@@ -270,23 +310,26 @@ def _sorted_differential(products: Iterable[SlotProduct], profile: Profile) -> W
     slot order, with slot v bounded by the least largest key of the later
     slots.  Ordering by degree first keeps the light slots of a transfer
     term from pairing with heavy later ones."""
-    acc: Dict[Xi, Set[Tuple[int, ...]]] = {}
-    for product in products:
-        slots = [_slot_table(p, profile) for p in product]
-        if slots and all(keys for keys, _ in slots):
-            # a slot's key is at most each later slot's, so at most their least largest key
-            later = itertools.accumulate((k[-1] for k, _ in slots[:0:-1]), min, initial=(math.inf,))
-            _walk(slots, list(later)[::-1], 0, (), (), (ONE,), acc)
+    acc: Dict[int, Set[Tuple[int, ...]]] = {}
     num = _lefts(profile)
-    return _decoded({num[m]: rights for m, rights in acc.items()}, profile)
+    for product in products:
+        slots = _tables(product, profile)
+        if slots:
+            # a slot's key is at most each later slot's, so at most their least largest key
+            later = itertools.accumulate((k[-1] for k, _, _ in slots[:0:-1]), min, initial=(math.inf,))
+            part: DefaultDict[int, Set[Tuple[int, ...]]] = defaultdict(set)
+            _walk(slots, list(later)[::-1], 0, (), (), (0,), part)
+            for m, rights in part.items():
+                acc.setdefault(num[m], set()).symmetric_difference_update(rights)
+    return _decoded(acc, profile)
 
 
 @lru_cache(maxsize=None)
 def cell_basis(profile: Profile, length: int, degree: int) -> Tuple[Word, ...]:
     """All words of the given length and total degree, sorted: each first
     letter of degree k before each word of length - 1 and degree - k."""
-    if length == 0:
-        return ((),) if degree == 0 else ()
+    if length <= 0:
+        return ((),) if length == 0 and degree == 0 else ()
     words = [
         (m,) + rest
         for k in range(1, degree - length + 2)  # letters have degree >= 1
@@ -300,31 +343,40 @@ def cell_basis(profile: Profile, length: int, degree: int) -> Tuple[Word, ...]:
 def differential_matrix(profile: Profile, length: int, degree: int) -> GF2Matrix:
     """Matrix of d: C^{length} -> C^{length+1} in cell_basis coordinates.
 
-    Each source word takes each head of each left over the right-hand
-    tuples of _product_groups, so the words of one slot-permutation orbit
-    share its _orbit_groups entry.  Target words are looked up by head and
-    numbered tail, as the groups hold them.
+    Collects before the antipode, as differential does: each source
+    word's bit is XORed into one mask per left number and right-hand
+    tuple of _product_groups, so the words of one slot-permutation orbit
+    share its _orbit_groups entry.  Each left's heads are then expanded
+    once per tuple, into target rows looked up by head and numbered tail.
     """
     src = cell_basis(profile, length, degree)
     tgt = cell_basis(profile, length + 1, degree)
-    num = _rights(profile).__getitem__
-    tgt_idx = {(w[0], tuple(map(num, w[1:]))): i for i, w in enumerate(tgt)}
-    heads = _lefts(profile).values
     rows = [0] * len(tgt)
+    if not src:  # the zero map; at length -1 the target is the unit word, which has no head
+        return GF2Matrix(rows, 0)
+    acc: DefaultDict[int, DefaultDict[Tuple[int, ...], int]] = defaultdict(lambda: defaultdict(int))
     for j, w in enumerate(src):
         bit = 1 << j
         for i, rights in _product_groups(w, profile):
+            masks = acc[i]
             for r in rights:
-                for h in heads[i]:
-                    rows[tgt_idx[h, r]] ^= bit
+                masks[r] ^= bit
+    num = _rights(profile).__getitem__
+    row_of: Dict[Xi, Dict[Tuple[int, ...], int]] = {}
+    for k, w in enumerate(tgt):
+        row_of.setdefault(w[0], {})[tuple(map(num, w[1:]))] = k
+    heads = _lefts(profile).values
+    for i, masks in acc.items():
+        for h in heads[i]:
+            row = row_of[h]
+            for r, mask in masks.items():
+                rows[row[r]] ^= mask
     return GF2Matrix(rows, len(src))
 
 
 def cohomology_dim(profile: Profile, length: int, degree: int) -> int:
     """dim ker d_length - dim im d_{length-1} in one degree, from the ranks
     of the cached differential matrices."""
-    if length == 0:
-        return int(degree == 0)
     d_out, d_in = (differential_matrix(profile, n, degree) for n in (length, length - 1))
     return d_out.ncols - sum(GF2Subspace(d.ncols, d.rows).dim for d in (d_out, d_in))
 

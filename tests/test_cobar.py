@@ -5,8 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrod_transfer.cobar import (
+    _FIELD,
+    _WIDTH,
+    _pack,
     _rights,
     _sorted_differential,
+    _unpack,
     cell_basis,
     class_of,
     cohomology_dim,
@@ -327,6 +331,9 @@ class TestGroupedDifferential:
         # stabilisers are nontrivial (E2 at degree 12 has one word and no
         # target, hence degree 22 there)
         cells += [(Profile.E(2), 4, 22), (Profile.D(), 4, 12)]
+        # letters such as xi_1^15 and xi_1^5 xi_2^3 have exponents of many
+        # binary digits, and chi of their lefts has many terms
+        cells += [(Profile.full(), 2, 16)]
         for prof, n, degree in cells:
             src = cell_basis(prof, n, degree)
             tgt = {u: i for i, u in enumerate(cell_basis(prof, n + 1, degree))}
@@ -335,6 +342,44 @@ class TestGroupedDifferential:
             for w, col in zip(src, cols):
                 want = reference_differential({w}, prof)
                 assert col == sum(1 << tgt[u] for u in want)
+
+
+# exponents of up to _WIDTH binary digits
+EXPONENTS = st.integers(0, _FIELD)
+
+
+@st.composite
+def monomials(draw, exponents=EXPONENTS):
+    es = draw(st.lists(exponents, max_size=6))
+    return tuple((t, e) for t, e in enumerate(es, 1) if e)
+
+
+class TestPackedMonomials:
+    @given(monomials())
+    def test_round_trip(self, m):
+        assert _unpack(_pack(m)) == m
+        assert _pack(ONE) == 0
+
+    @given(monomials(st.integers(0, _FIELD // 2)), monomials(st.integers(0, _FIELD // 2 + 1)))
+    def test_sum_is_product(self, a, b):
+        assert _unpack(_pack(a) + _pack(b)) == mono_mul(a, b)
+
+    def test_degree_bound(self):
+        # xi_1^(2^k) for k < _WIDTH: degree 2^_WIDTH - 1, the largest that
+        # cannot carry; one more xi_1 could, and raises before the walk
+        word = tuple(xi(1, 1 << k) for k in reversed(range(_WIDTH)))
+        assert word_degree(word) == _FIELD
+        assert differential(word, Profile.full()) == frozenset()
+        with pytest.raises(ValueError):
+            differential(word + (xi(1),), Profile.full())
+        with pytest.raises(ValueError):
+            _sorted_differential([word + (xi(1),)], Profile.full())
+
+    def test_many_digit_exponents(self):
+        # lefts such as xi_1^2050 and xi_1^2 xi_2^1024, whose chi has several terms
+        for word in [(xi(2, 1025),), (xi(2, 1025), xi(2, 3)), (((1, 1024), (2, 513)), xi(1, 3))]:
+            prof = Profile.full()
+            assert differential(word, prof) == reference_differential({word}, prof)
 
 
 class TestCells:
@@ -357,6 +402,13 @@ class TestCells:
         assert cell_basis(Profile.full(), 0, 0) == ((),)
         assert cell_basis(Profile.full(), 0, 3) == ()
         assert cell_basis(Profile.full(), 3, 2) == ()
+        assert cell_basis(Profile.full(), -1, 0) == ()
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PROFILES))
+    def test_negative_length_matrix(self, name):
+        # C^{-1} = 0, so d into C^0 is the zero map with no columns
+        d = differential_matrix(REFERENCE_PROFILES[name], -1, 0)
+        assert (d.ncols, d.rows) == (0, (0,))
 
     def test_wordsum_degree_checks(self):
         with pytest.raises(ValueError):
@@ -389,6 +441,24 @@ class TestCohomology:
 
     def test_e2_4_24_dim(self):
         assert cohomology_dim(Profile.E(2), 4, 24) == 3 == len(h_monomials(Profile.E(2), 4, 24))
+
+    def test_full_ext2_adams(self):
+        # Ext_A^2 has basis h_i h_j, i <= j, j != i + 1 (Adams), h_i in t = 2^i
+        for t in range(21):
+            want = sum((1 << i) + (1 << j) == t for j in range(5) for i in range(j + 1) if j != i + 1)
+            assert cohomology_dim(Profile.full(), 2, t) == want, t
+
+    def test_full_ext3_wang(self):
+        # Ext_A^3: h_i h_j h_k, i <= j <= k, j != i + 1, k != j + 1, less
+        # h_i h_{i+2}^2 = 0 and h_i^2 h_{i+2} = h_{i+1}^3, plus c_0 in t = 11 (Wang)
+        monos = [
+            (i, j, k)
+            for k in range(4) for j in range(k + 1) for i in range(j + 1)
+            if j != i + 1 and k != j + 1 and (j, k) != (i + 2, i + 2) and (j, k) != (i, i + 2)
+        ]
+        for t in range(17):
+            want = sum((1 << i) + (1 << j) + (1 << k) == t for i, j, k in monos) + (t == 11)
+            assert cohomology_dim(Profile.full(), 3, t) == want, t
 
     def test_h_monomials_match_dims(self):
         for n in range(1, 4):
@@ -488,6 +558,13 @@ class TestClassOf:
 
     def test_zero(self):
         assert class_of(frozenset(), Profile.E(2)) == frozenset()
+
+    @pytest.mark.parametrize("name", ["full", "E1", "E2", "E3", "D"])
+    def test_unit_word(self, name):
+        # the length-0 unit word is the class of the empty h-monomial
+        prof = REFERENCE_PROFILES[name]
+        assert h_monomials(prof, 0, 0) == ((),)
+        assert class_of((), prof) == frozenset({()})
 
     def test_coboundary_off_em(self):
         # H^{2,3} of A is 0, so the cocycle h_{1,1} h_{1,0} is a coboundary

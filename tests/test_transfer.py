@@ -172,6 +172,13 @@ class TestChain:
         cls = transfer_class(x, E2)
         assert cls == frozenset()
 
+    @pytest.mark.parametrize("prof", [FULL, E1, E2, E3, Profile.D()], ids=["A", "E1", "E2", "E3", "D"])
+    def test_rank0_unit(self, prof):
+        # b() is the unit of H_*(BV_0); its image is the unit word, whose
+        # class is the empty h-monomial
+        assert transfer_chain(HElement.b(), prof).words == frozenset({()})
+        assert transfer_class(HElement.b(), prof) == frozenset({()})
+
     def test_zero_image(self):
         x = HElement.b(1, 1)
         assert transfer_chain(x, E2).is_zero()
