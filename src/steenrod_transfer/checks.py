@@ -9,6 +9,10 @@ A criterion is a function returning a list of CheckResult.  Everything
 is recomputed on each run and nothing is read from disk: the rank-4
 elements are written in the paper's digit notation and read_terms reads
 them where they are used.
+
+At its top the module imports `gf2`, `milnor` and `bv` only, which every
+command loads; a criterion imports `cobar`, `transfer`, `hit` or `stratr`
+in its own body, so a command that reads only `SUITES` never compiles them.
 """
 
 from __future__ import annotations
@@ -32,17 +36,8 @@ from .bv import (
     right_action,
     swap_matrix,
 )
-from .cobar import (
-    cohomology_dim,
-    differential_matrix,
-    h_monomials,
-    hclass_str,
-)
 from .gf2 import GF2Subspace, image_of
-from .hit import PolyElement, apply_op, chi_sq, is_hit, peterson_wood
 from .milnor import Profile, Pst, frobenius, generators, xi
-from .stratr import is_invariant, parse_r_text, same_s_excluded
-from .transfer import f_star, presentable, slot_types, transfer_chain, transfer_class
 
 __all__ = [
     "CheckResult",
@@ -244,6 +239,8 @@ def crit_rank1_annihilation() -> List[CheckResult]:
 
 
 def crit_transfer_windows() -> List[CheckResult]:
+    from .transfer import f_star, presentable, transfer_class
+
     out = []
 
     bad = []
@@ -300,6 +297,8 @@ def crit_transfer_windows() -> List[CheckResult]:
 def _spike_transfers(annihilated: bool, k: int, t: int, s: int, prof: Profile) -> bool:
     """Whether b_k is annihilated, its f_star is the single monomial
     xi_t^{2^s}, and its class is h_{t,s}."""
+    from .transfer import f_star, transfer_class
+
     return (
         annihilated
         and f_star(k, prof) == frozenset({xi(t, 1 << s)})
@@ -316,6 +315,9 @@ SHEAR = ((1, 1), (1, 0))
 
 
 def crit_degree11_witness() -> List[CheckResult]:
+    from .cobar import hclass_str
+    from .transfer import transfer_class
+
     out = []
     anni = annihilated_subspace(E2, 2, 11)
     listed = [HElement.b(0, 11), HElement.b(11, 0), B_WITNESS, TAU_B]
@@ -404,6 +406,9 @@ def crit_degree11_witness() -> List[CheckResult]:
 
 
 def crit_degree20_kernel() -> List[CheckResult]:
+    from .hit import PolyElement, apply_op, chi_sq, is_hit, peterson_wood
+    from .transfer import transfer_class
+
     out = []
     out.append(
         CheckResult(
@@ -451,6 +456,9 @@ D0_EXTRA_TEXT = "3155+5513+5135+5315+5333"
 
 
 def crit_degree14_fixture() -> List[CheckResult]:
+    from .cobar import hclass_str
+    from .transfer import transfer_class
+
     out = []
     # the representative is x symmetrised over two slot swaps, plus D0_EXTRA_TEXT
     x = _hel(D0_X_TEXT, 4, 14)
@@ -501,6 +509,9 @@ E0_CANDIDATE = (
 
 
 def crit_degree17_existence() -> List[CheckResult]:
+    from .cobar import h_monomials, hclass_str
+    from .transfer import slot_types, transfer_class
+
     out = []
     dim_h = basis_dim(4, 17)
     kernel = annihilated_subspace(FULL, 4, 17)
@@ -582,6 +593,8 @@ def crit_degree17_existence() -> List[CheckResult]:
 
 
 def crit_cobar_consistency() -> List[CheckResult]:
+    from .cobar import cohomology_dim, differential_matrix, h_monomials
+
     out = []
 
     def composite_vanishes(profile: Profile, max_len: int, max_deg: int) -> List[tuple]:
@@ -641,6 +654,8 @@ def _random_element(rng: random.Random, rank: int, degree: int) -> HElement:
 
 
 def crit_kameko_frobenius() -> List[CheckResult]:
+    from .transfer import f_star, transfer_chain
+
     out = []
     rng = random.Random(0x5E2)
 
@@ -760,6 +775,8 @@ Z_12_80 = "h[2,0]^8 * h[3,1]^4 + h[3,0]^8 * h[2,1]^4 + h[2,1]^11 * h[3,1]"
 
 
 def crit_stratified_example() -> List[CheckResult]:
+    from .stratr import is_invariant, parse_r_text, same_s_excluded
+
     z = parse_r_text(Z_12_80)
     return [
         CheckResult("invariant-under-sq-2^k", is_invariant(z, 6), "k <= 6"),
@@ -775,6 +792,8 @@ def crit_stratified_example() -> List[CheckResult]:
 
 
 def crit_diagonal_spikes() -> List[CheckResult]:
+    from .transfer import f_star
+
     out = []
     for t in range(1, 5):
         k = (1 << (t - 1)) * ((1 << t) - 1) - 1

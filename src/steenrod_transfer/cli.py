@@ -10,10 +10,17 @@ of n workers, item k runs in worker k mod n, which sends its result back
 down a pipe.  No pool or thread is started, and the results are printed
 in the order of the input.
 
+A subcommand imports the layers it runs: besides `checks` (for the
+suite names) and this module, `annihilated` and `table` load `gf2`,
+`milnor` and `bv` only, `transfer` adds `cobar` and `transfer`, and
+`verify` adds those two, `hit` and `stratr` before it forks.  Only the
+`json` branches import `json`.
+
 `main` freezes the heap once the arguments are parsed and again as it
-returns, so no collection of the command, of a worker or of interpreter
-exit walks what the imports built or the caches the command filled: the
-library leaves no reference cycles, so that walk would free nothing.
+returns, and `verify` once more after its imports, before it forks; so
+no collection of the command, of a worker or of interpreter exit walks
+what the imports built or the caches the command filled: the library
+leaves no reference cycles, so that walk would free nothing.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (raised while parsing), 3 budget exceeded, 4 internal error (any other
@@ -29,7 +36,7 @@ import gc
 import os
 import re
 import sys
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .bv import (
     HElement,
@@ -40,10 +47,11 @@ from .bv import (
     degree_basis,
 )
 from .checks import SUITES, run_criterion
-from .cobar import class_of, hclass_str
 from .gf2 import BudgetError
 from .milnor import Profile
-from .transfer import TransferImage, cocycle_verdicts, transfer_chain
+
+if TYPE_CHECKING:
+    from .transfer import TransferImage
 
 __all__ = ["parse_algebra", "parse_degree_range", "main"]
 
@@ -299,6 +307,9 @@ def cmd_annihilated(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .cobar import class_of, hclass_str
+    from .transfer import cocycle_verdicts, transfer_chain
+
     profile = parse_algebra(args.algebra)
     _check_budget(args.rank, args.degree)
     sub = annihilated_subspace(profile, args.rank, args.degree)
@@ -349,6 +360,11 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the criteria's layers, imported once here so that the workers
+    # inherit them, and frozen with the rest of the heap before the fork
+    from . import cobar, hit, stratr, transfer
+
+    gc.freeze()
     reports = []
     for report in _map_in_workers(run_criterion, SUITES[args.suite]):
         if args.format == "text":

@@ -534,8 +534,8 @@ class TestLayering:
         ".cobar": {"gf2", "milnor", "cobar"},
         ".transfer": {"gf2", "milnor", "bv", "cobar", "transfer"},
         ".hit": {"gf2", "milnor", "bv", "hit"},
-        ".checks": ALL - {"cli"},
-        ".cli": ALL,
+        ".checks": {"gf2", "milnor", "bv", "checks"},
+        ".cli": {"gf2", "milnor", "bv", "checks", "cli"},
     }
 
     @pytest.mark.parametrize("module", sorted(LOADS), ids=lambda m: "steenrod_transfer" + m)
@@ -562,6 +562,25 @@ class TestLayering:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+
+    def test_commands_load_only_their_layers(self):
+        # annihilated and table never reach the cobar side, the hit
+        # criterion or the stratified reading; transfer adds cobar and
+        # transfer only
+        proc = run_cli_python(
+            "import sys\n"
+            "from steenrod_transfer.cli import main\n"
+            "layers = ('cobar', 'transfer', 'hit', 'stratr')\n"
+            "loaded = []\n"
+            "for argv in (['annihilated', '--algebra', 'E2', '--rank', '2', '--degree', '11'],\n"
+            "             ['table', '--algebra', 'A', '--rank', '2', '--degree-range', '1..4'],\n"
+            "             ['transfer', '--algebra', 'E2', '--rank', '2', '--degree', '11']):\n"
+            "    assert main(argv) == 0\n"
+            "    loaded.append([m for m in layers if 'steenrod_transfer.' + m in sys.modules])\n"
+            "print(loaded)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[[], [], ['cobar', 'transfer']]"
 
 
 class TestFrozenHeap:
@@ -603,3 +622,29 @@ class TestFrozenHeap:
         assert enabled == "True"
         assert frozen == "True", proc.stdout.splitlines()[-1]
         assert cycle_freed == "True"
+
+    def test_criteria_layers_frozen_before_the_fork(self):
+        # verify imports the criteria's layers in the parent and freezes
+        # them, so that both workers inherit them compiled and frozen;
+        # gc.get_objects() lists no frozen object
+        proc = run_cli_python(
+            "import gc, os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from steenrod_transfer.cli import main\n"
+            "seen = []\n"
+            "fork = os.fork\n"
+            "def watched_fork():\n"
+            "    if not seen:\n"
+            "        layers = [sys.modules.get('steenrod_transfer.' + m)\n"
+            "                  for m in ('cobar', 'transfer', 'hit', 'stratr')]\n"
+            "        tracked = {id(o) for o in gc.get_objects()}\n"
+            "        seen.append((all(layers), gc.get_freeze_count() > 0,\n"
+            "                     not any(m and id(vars(m)) in tracked for m in layers)))\n"
+            "    return fork()\n"
+            "os.fork = watched_fork\n"
+            "rc = main(['verify', 'props'])\n"
+            "print(*seen)\n"
+            "sys.exit(rc)\n"
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "(True, True, True)"
