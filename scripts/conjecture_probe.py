@@ -12,7 +12,7 @@ Three probes, each a wider version of one acceptance criterion:
            contribute nonzero transfer classes in a given degree
 
 The spike family and the exponent types come from the definitions the
-criteria use, checks.spike_pairs and transfer.slot_types.  The probes
+criteria use, criteria.spike_pairs and transfer.slot_types.  The probes
 print findings and exit 0 when every sweep agrees with the
 predicted pattern, 1 otherwise; an argument that leaves a sweep empty
 exits 2.
@@ -25,7 +25,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from steenrod_transfer.bv import is_D_annihilated_rank1
-from steenrod_transfer.checks import spike_pairs
+from steenrod_transfer.criteria import spike_pairs
 from steenrod_transfer.milnor import Profile
 from steenrod_transfer.transfer import f_star, presentable, slot_types
 

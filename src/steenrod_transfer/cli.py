@@ -10,11 +10,11 @@ of n workers, item k runs in worker k mod n, which sends its result back
 down a pipe.  No pool or thread is started, and the results are printed
 in the order of the input.
 
-A subcommand imports the layers it runs: besides `checks` (for the
-suite names) and this module, `annihilated` and `table` load `gf2`,
+A subcommand imports the layers it runs: besides `checks` (the suite
+registry) and this module, `annihilated` and `table` load `gf2`,
 `milnor` and `bv` only, `transfer` adds `cobar` and `transfer`, and
-`verify` adds those two, `hit` and `stratr` before it forks.  Only the
-`json` branches import `json`.
+`verify` adds those two, `hit`, `stratr` and the criteria bodies
+(`criteria`) before it forks.  Only the `json` branches import `json`.
 
 `main` freezes the heap once the arguments are parsed and again as it
 returns, and `verify` once more after its imports, before it forks; so
@@ -360,9 +360,10 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the criteria's layers, imported once here so that the workers
-    # inherit them, and frozen with the rest of the heap before the fork
-    from . import cobar, hit, stratr, transfer
+    # the criteria and their layers, imported once here so that the
+    # workers inherit them, and frozen with the rest of the heap before
+    # the fork
+    from . import cobar, criteria, hit, stratr, transfer
 
     gc.freeze()
     reports = []

@@ -1,13 +1,15 @@
+import inspect
 import itertools
 import json
 import re
 
 import pytest
 
-from steenrod_transfer import checks, transfer
+from steenrod_transfer import checks, criteria, transfer
 from steenrod_transfer.bv import is_D_annihilated_rank1
-from steenrod_transfer.checks import CRITERIA, SUITES, read_terms, spike_pairs
+from steenrod_transfer.checks import CRITERIA, SUITES
 from steenrod_transfer.cli import main
+from steenrod_transfer.criteria import read_terms, spike_pairs
 from steenrod_transfer.transfer import transfer_class
 
 
@@ -19,6 +21,18 @@ def test_suites_reference_known_criteria():
 
 def test_all_suite_is_complete():
     assert set(SUITES["all"]) == set(CRITERIA)
+
+
+def test_criteria_resolve_to_bodies_in_criteria():
+    # each entry is named after the body it imports and runs when called,
+    # so a misspelt name fails here, not in a run of verify; and every
+    # body is registered, once
+    bodies = [entry.__name__ for entry in CRITERIA.values()]
+    for body in bodies:
+        fn = getattr(criteria, body, None)
+        assert inspect.isfunction(fn) and fn.__module__ == criteria.__name__, body
+    defined = [n for n, fn in vars(criteria).items() if n.startswith("crit_") and inspect.isfunction(fn)]
+    assert sorted(bodies) == sorted(defined)
 
 
 def test_expected_suite_names_exist():
@@ -62,18 +76,18 @@ def test_d0_representative_has_36_terms(monkeypatch):
 
     # the criterion imports transfer_class where it runs, so it meets the spy
     monkeypatch.setattr(transfer, "transfer_class", spy)
-    assert all(c.passed for c in checks.crit_degree14_fixture())
+    assert all(c.passed for c in criteria.crit_degree14_fixture())
     assert [(z.rank, z.degree, len(z.terms)) for z in seen] == [(4, 14, 36)]
 
 
 def test_e0_candidate_report():
-    report = {c.name: c for c in checks.crit_degree17_existence()}["candidate-fixture-report"]
+    report = {c.name: c for c in criteria.crit_degree17_existence()}["candidate-fixture-report"]
     assert report.detail == "44 terms, annihilated: True, class = h_{2,1}^3 h_{2,0}"
 
 
 def test_unreadable_candidate_is_an_error(monkeypatch):
     # a criterion that cannot read its own element fails; it does not pass
-    monkeypatch.setattr(checks, "E0_CANDIDATE", "2555+x")
+    monkeypatch.setattr(criteria, "E0_CANDIDATE", "2555+x")
     with pytest.raises(ValueError, match="cannot read 'x'"):
         checks.run_criterion("rank4-degree17-existence")
 
@@ -116,7 +130,7 @@ class TestReadTerms:
 
     def test_unfittable_raises(self):
         with pytest.raises(ValueError, match="bad term"):  # no rank or degree to fit
-            checks._hel("99", 4, 17)
+            criteria._hel("99", 4, 17)
         with pytest.raises(ValueError, match="'x'"):
             read_terms("x+y")
         with pytest.raises(ValueError, match=re.escape("'(2,3)2255'")):  # no transposition prefix
@@ -138,4 +152,4 @@ class TestReadTerms:
             (5, 3, 6, 3), (5, 6, 3, 3), (6, 3, 3, 5), (6, 3, 5, 3), (6, 5, 3, 3),
             (7, 1, 6, 3), (7, 2, 5, 3), (7, 4, 3, 3), (8, 3, 3, 3),
         }
-        assert read_terms(checks.E0_CANDIDATE) == frozenset(want)
+        assert read_terms(criteria.E0_CANDIDATE) == frozenset(want)

@@ -524,7 +524,7 @@ class TestLayering:
     """The package root re-exports nothing, so importing a module loads
     only the modules it depends on, in a fresh interpreter."""
 
-    ALL = {"gf2", "milnor", "bv", "cobar", "transfer", "hit", "stratr", "checks", "cli"}
+    ALL = {"gf2", "milnor", "bv", "cobar", "transfer", "hit", "stratr", "checks", "criteria", "cli"}
     LOADS = {
         "": set(),
         ".gf2": {"gf2"},
@@ -534,9 +534,16 @@ class TestLayering:
         ".cobar": {"gf2", "milnor", "cobar"},
         ".transfer": {"gf2", "milnor", "bv", "cobar", "transfer"},
         ".hit": {"gf2", "milnor", "bv", "hit"},
-        ".checks": {"gf2", "milnor", "bv", "checks"},
+        # the registry alone; its entries import criteria as they run
+        ".checks": {"checks"},
+        ".criteria": {"gf2", "milnor", "bv", "checks", "criteria"},
         ".cli": {"gf2", "milnor", "bv", "checks", "cli"},
     }
+
+    def test_every_module_is_pinned(self):
+        package = Path(steenrod_transfer.__file__).parent
+        modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+        assert modules == self.ALL == {m[1:] for m in self.LOADS if m}
 
     @pytest.mark.parametrize("module", sorted(LOADS), ids=lambda m: "steenrod_transfer" + m)
     def test_import_loads_only_its_layers(self, module):
@@ -565,12 +572,12 @@ class TestLayering:
 
     def test_commands_load_only_their_layers(self):
         # annihilated and table never reach the cobar side, the hit
-        # criterion or the stratified reading; transfer adds cobar and
-        # transfer only
+        # criterion, the stratified reading or the criteria bodies;
+        # transfer adds cobar and transfer only
         proc = run_cli_python(
             "import sys\n"
             "from steenrod_transfer.cli import main\n"
-            "layers = ('cobar', 'transfer', 'hit', 'stratr')\n"
+            "layers = ('cobar', 'transfer', 'hit', 'stratr', 'criteria')\n"
             "loaded = []\n"
             "for argv in (['annihilated', '--algebra', 'E2', '--rank', '2', '--degree', '11'],\n"
             "             ['table', '--algebra', 'A', '--rank', '2', '--degree-range', '1..4'],\n"
@@ -624,8 +631,8 @@ class TestFrozenHeap:
         assert cycle_freed == "True"
 
     def test_criteria_layers_frozen_before_the_fork(self):
-        # verify imports the criteria's layers in the parent and freezes
-        # them, so that both workers inherit them compiled and frozen;
+        # verify imports the criteria and their layers in the parent and
+        # freezes them, so that both workers inherit them compiled and frozen;
         # gc.get_objects() lists no frozen object
         proc = run_cli_python(
             "import gc, os, sys\n"
@@ -636,7 +643,7 @@ class TestFrozenHeap:
             "def watched_fork():\n"
             "    if not seen:\n"
             "        layers = [sys.modules.get('steenrod_transfer.' + m)\n"
-            "                  for m in ('cobar', 'transfer', 'hit', 'stratr')]\n"
+            "                  for m in ('cobar', 'transfer', 'hit', 'stratr', 'criteria')]\n"
             "        tracked = {id(o) for o in gc.get_objects()}\n"
             "        seen.append((all(layers), gc.get_freeze_count() > 0,\n"
             "                     not any(m and id(vars(m)) in tracked for m in layers)))\n"

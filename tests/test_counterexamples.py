@@ -17,7 +17,7 @@ where it exposes them:
 import itertools
 from math import comb
 
-from steenrod_transfer.checks import B_WITNESS
+from steenrod_transfer.criteria import B_WITNESS
 from steenrod_transfer.milnor import Profile, Pst, generators, xi
 from steenrod_transfer.transfer import f_star
 

@@ -6,7 +6,7 @@ garbage that only the cyclic collector frees."""
 
 import gc
 
-from steenrod_transfer import bv, checks
+from steenrod_transfer import bv, criteria
 from steenrod_transfer.bv import HElement, annihilated_subspace, right_action
 from steenrod_transfer.cobar import (
     differential_matrix,
@@ -42,7 +42,7 @@ def test_hot_helpers_leave_no_cycles():
         h_monomials(Profile.E(2), 3, 12)
         for d in range(13):
             dual_basis.__wrapped__(Profile.E(2), d)  # without its lru_cache
-        is_invariant(parse_r_text(checks.Z_12_80), 6)
+        is_invariant(parse_r_text(criteria.Z_12_80), 6)
         assert gc.collect() == 0
     finally:
         gc.enable()

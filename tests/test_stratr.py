@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenrod_transfer import checks
+from steenrod_transfer import criteria
 from steenrod_transfer.bv import HElement, annihilated_subspace
 from steenrod_transfer.milnor import Profile
 from steenrod_transfer.stratr import (
@@ -22,7 +22,7 @@ from steenrod_transfer.stratr import (
 )
 from steenrod_transfer.transfer import transfer_class
 
-Z_12_80 = parse_r_text(checks.Z_12_80)
+Z_12_80 = parse_r_text(criteria.Z_12_80)
 
 
 def gens(max_t=4):
